@@ -48,8 +48,8 @@ def main():
 
         # --- the memory buy: each shard materializes only its slice.
         stats = fleet.stats()
-        total = sum(s["entries"] for s in stats["router"]["shards"])
-        for s in stats["router"]["shards"]:
+        total = sum(s["entries"] for s in stats["router"]["members"])
+        for s in stats["router"]["members"]:
             print(f"  {s['name']}: {s['entries']} label entries "
                   f"({s['entries'] / total:.1%} of the fleet)")
 
@@ -65,13 +65,13 @@ def main():
 
         # --- fault model: a dead shard means a missing hub slice, and a
         # missing slice would silently undercount — so the router refuses.
-        fleet.kill_shard(0)
+        fleet.kill("shard-0")
         try:
             fleet.query(*pairs[0])
         except ShardError as exc:
             print(f"shard-0 down -> refusal (never a wrong answer): {exc}")
 
-        fleet.restart_shard(0)
+        fleet.restart("shard-0")
         fleet.sync()
         assert fleet.query_many(pairs[:10]) == [oracle.query(s, t)
                                                 for s, t in pairs[:10]]

@@ -14,9 +14,7 @@ Public API quickstart::
     engine.query(0, 2)              # answers stay exact under updates
 
 ``repro.open`` works identically for :class:`DiGraph` and
-:class:`WeightedGraph`; the legacy ``DynamicSPC`` / ``DynamicDirectedSPC``
-/ ``DynamicWeightedSPC`` facades remain as deprecation shims over the
-engine.
+:class:`WeightedGraph`.
 
 Package map (see DESIGN.md for the full inventory):
 
@@ -25,7 +23,9 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.directed` / :mod:`repro.weighted` — the appendix extensions;
 * :mod:`repro.engine` — the backend-agnostic serving engine (``repro.open``);
 * :mod:`repro.serve` — snapshot-isolated concurrent serving + WAL durability;
-* :mod:`repro.cluster` — WAL-replicated multi-replica serving + query router;
+* :mod:`repro.cluster` / :mod:`repro.shard` — one serving fleet of
+  journal-tailing members (replicated and/or hub-partitioned) behind one
+  query router;
 * :mod:`repro.audit` — shadow-replica differential verification + perf
   trajectory;
 * :mod:`repro.resilience` — self-healing supervision, circuit breakers
@@ -37,12 +37,10 @@ Package map (see DESIGN.md for the full inventory):
 """
 
 from repro.core import (
-    DynamicSPC,
     LabelSet,
     SPCIndex,
     StreamStats,
     UpdateStats,
-    build_dynamic,
     build_spc_index,
     dec_spc,
     inc_spc,
@@ -88,8 +86,6 @@ __all__ = [
     "build_spc_index",
     "inc_spc",
     "dec_spc",
-    "DynamicSPC",
-    "build_dynamic",
     "UpdateStats",
     "StreamStats",
     "VertexOrder",

@@ -34,10 +34,9 @@ from repro.audit.comparator import (
 from repro.audit.faults import (
     MODES,
     CorruptingIndex,
-    CorruptingSnapshot,
     corrupt_answer,
-    corrupt_snapshot_wrapper,
     tamper_backend,
+    tamper_member,
 )
 from repro.audit.loadgen import EXPECTED_SEVERITY, run_audit_loadgen
 from repro.audit.replay import GraphReplayer, apply_graph_update
@@ -63,10 +62,9 @@ __all__ = [
     "merge_partial_answers",
     "MODES",
     "CorruptingIndex",
-    "CorruptingSnapshot",
     "corrupt_answer",
-    "corrupt_snapshot_wrapper",
     "tamper_backend",
+    "tamper_member",
     "EXPECTED_SEVERITY",
     "run_audit_loadgen",
     "GraphReplayer",

@@ -6,12 +6,11 @@ stays healthy, keeps its seq current, and quietly serves bad counts.
 That is exactly the failure differential verification exists to catch, so
 these wrappers simulate it at the two seams the serving layer exposes:
 
-* :func:`corrupt_snapshot_wrapper` — for a live fleet: installed via
-  :meth:`repro.cluster.Replica.set_snapshot_wrapper`, it proxies every
-  snapshot the replica publishes so served answers are corrupted while
-  the engine, WAL tail and checkpoints stay clean (the shadow baseline
-  must bootstrap from *honest* state, or the audit would be comparing one
-  lie to another).
+* :func:`tamper_member` — for a live fleet: rebinds one member's
+  ``partial`` probe so every answer it serves is corrupted while its
+  views, journal tail and the primary's checkpoints stay clean (the
+  shadow baseline must bootstrap from *honest* state, or the audit would
+  be comparing one lie to another).
 * :func:`tamper_backend` — for a single service: rebinds the engine
   backend's ``snapshot_index`` hook so every *published* index copy is a
   corrupting proxy, while ``index_to_dict`` (the checkpoint path) keeps
@@ -58,52 +57,6 @@ def corrupt_answer(answer, mode):
     raise AuditDivergenceError(
         f"unknown corruption mode {mode!r}; choose from {MODES}"
     )
-
-
-class CorruptingSnapshot:
-    """A snapshot proxy that lies on the read path only.
-
-    Wraps a published :class:`~repro.serve.SnapshotView`: ``query`` and
-    ``query_many`` corrupt their answers under the configured mode, while
-    every coordinate a router or reader inspects (``seq``, ``epoch``,
-    ``backend_name``, ``published_at``) passes through untouched — the
-    tampered replica looks perfectly healthy from the outside.
-    """
-
-    __slots__ = ("_inner", "_mode")
-
-    def __init__(self, inner, mode="count"):
-        if mode not in MODES:
-            raise AuditDivergenceError(
-                f"unknown corruption mode {mode!r}; choose from {MODES}"
-            )
-        self._inner = inner
-        self._mode = mode
-
-    def query(self, s, t):
-        return corrupt_answer(self._inner.query(s, t), self._mode)
-
-    def query_many(self, pairs):
-        return [
-            corrupt_answer(a, self._mode)
-            for a in self._inner.query_many(pairs)
-        ]
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def __repr__(self):
-        return f"CorruptingSnapshot(mode={self._mode!r}, inner={self._inner!r})"
-
-
-def corrupt_snapshot_wrapper(mode="count"):
-    """A :meth:`~repro.cluster.Replica.set_snapshot_wrapper` argument that
-    proxies every published snapshot through :class:`CorruptingSnapshot`."""
-    if mode not in MODES:
-        raise AuditDivergenceError(
-            f"unknown corruption mode {mode!r}; choose from {MODES}"
-        )
-    return lambda snapshot: CorruptingSnapshot(snapshot, mode)
 
 
 class CorruptingIndex:
@@ -155,5 +108,33 @@ def tamper_backend(backend, mode="count"):
 
     def restore():
         backend.snapshot_index = original
+
+    return restore
+
+
+def tamper_member(member, mode="count"):
+    """Make one fleet member serve corrupted partial answers from now on.
+
+    Rebinding ``partial`` on the *instance* poisons every answer the
+    router folds from this member, while its published views, seq and
+    health stay honest — a byzantine member that stays current while
+    serving wrong answers, which only the differential audit can catch.
+    On a full slice a partial *is* the answer, so the corruption lands
+    exactly as :func:`corrupt_answer` describes.  Returns the undo
+    callable that restores the honest probe.
+    """
+    if mode not in MODES:
+        raise AuditDivergenceError(
+            f"unknown corruption mode {mode!r}; choose from {MODES}"
+        )
+    honest = member.partial
+
+    def corrupted_partial(s, t, view):
+        return corrupt_answer(honest(s, t, view), mode)
+
+    member.partial = corrupted_partial
+
+    def restore():
+        del member.partial
 
     return restore

@@ -9,10 +9,9 @@ optional *kill-and-corrupt* fault script:
 
 * a third of the way in, replica-0 is killed mid-stream (the router
   routes around it);
-* just before the midpoint, another replica's published snapshots are
-  wrapped in a corrupting proxy (:func:`repro.audit.faults
-  .corrupt_snapshot_wrapper`) — a byzantine replica that stays healthy
-  and current while serving wrong answers.
+* just before the midpoint, another replica's answers are corrupted
+  (:func:`repro.audit.faults.tamper_member`) — a byzantine replica that
+  stays healthy and current while serving wrong answers.
 
 With ``strict`` (the default) the run's contract is exact: a clean run
 must end with **zero** divergences, and a corrupted run must end with at
@@ -38,10 +37,10 @@ from repro.audit.comparator import (
     REFUSAL,
     DivergenceReport,
 )
-from repro.audit.faults import corrupt_snapshot_wrapper
+from repro.audit.faults import tamper_member
 from repro.audit.sampler import AuditSampler
 from repro.audit.shadow import ShadowAuditor
-from repro.cluster.cluster import ClusterConfig, SPCCluster
+from repro.shard.fleet import ClusterConfig, SPCCluster
 from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import AuditDivergenceError, ClusterError, ServeError
 from repro.serve.loadgen import (
@@ -123,13 +122,13 @@ def _fault_controller(cluster, deadline, duration, kill, corrupt, record):
         if kill:
             time.sleep(max(0.0, start + duration * 0.3 - time.time()))
             if time.time() < deadline:
-                cluster.kill_replica("replica-0")
+                cluster.kill("replica-0")
                 events["killed"] = "replica-0"
                 events["killed_at_seq"] = cluster.primary.applied_seq
         if corrupt:
             time.sleep(max(0.0, start + duration * 0.45 - time.time()))
             if time.time() < deadline:
-                names = cluster.router.replica_names()
+                names = list(cluster.members)
                 victim = events.get("killed")
                 candidates = [nm for nm in names if nm != victim]
                 if not candidates:
@@ -138,9 +137,7 @@ def _fault_controller(cluster, deadline, duration, kill, corrupt, record):
                         "replicas >= 2 when also killing one"
                     )
                 target = candidates[-1]
-                cluster.replicas[target].set_snapshot_wrapper(
-                    corrupt_snapshot_wrapper(corrupt)
-                )
+                tamper_member(cluster.members[target], corrupt)
                 events["corrupted"] = target
                 events["corrupted_at_seq"] = cluster.primary.applied_seq
             else:

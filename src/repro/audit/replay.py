@@ -1,7 +1,8 @@
 """GraphReplayer: a bare-graph WAL follower with a bounded rollback window.
 
-The shadow auditor's state machine.  Unlike a :class:`~repro.cluster.Replica`
-it maintains **no index at all** — just the graph — because the trusted
+The shadow auditor's state machine.  Unlike a fleet member
+(:class:`~repro.shard.Shard`) it follows the WAL, not the label journal,
+and maintains **no index at all** — just the graph — because the trusted
 baseline recomputes every audited answer by direct traversal
 (:func:`repro.engine.baseline_answer`).  What it adds over a plain replay
 is *time travel*: every applied WAL batch records the inverse operations

@@ -2,10 +2,11 @@
 
 The auditor owns a :class:`~repro.audit.replay.GraphReplayer` bootstrapped
 from the audited service's checkpoint and kept current by tailing its WAL
-— exactly like a :class:`~repro.cluster.Replica`, except it maintains no
-label index at all: every audited answer is recomputed by direct traversal
-(:func:`repro.engine.baseline_answer`), so the baseline cannot share a
-maintenance bug with the index under test.
+— the same bootstrap / tail / re-bootstrap machine as a fleet member
+(:class:`~repro.shard.Shard`), except it follows update records, not
+label deltas, and keeps no label index at all: every audited answer is
+recomputed by direct traversal (:func:`repro.engine.baseline_answer`), so
+the baseline cannot share a maintenance bug with the index under test.
 
 The loop: poll the WAL tail and advance the replayer; :meth:`~repro.audit.
 AuditSampler.take` the reservoir; replay each sampled ``(query, answer,
@@ -67,7 +68,7 @@ class ShadowAuditor:
     """
 
     #: consecutive no-progress re-bootstraps before the auditor gives up
-    #: (same contract as Replica.MAX_STALLED_BOOTSTRAPS).
+    #: (same contract as Shard.MAX_STALLED_BOOTSTRAPS).
     MAX_STALLED_BOOTSTRAPS = 3
 
     def __init__(self, sampler, state_dir, report=None, poll_interval=0.005,

@@ -3,7 +3,7 @@
 Runs :func:`repro.cluster.loadgen.run_cluster_loadgen` once per backend
 family: N readers route point/batch queries across the replica fleet
 while one submitter feeds the primary and a fault controller kills
-replica-0 mid-stream and crash-recovers it from checkpoint + WAL tail.
+replica-0 mid-stream and crash-recovers it from checkpoint + journal tail.
 Consistency checking is always on — a bounded-staleness violation, a
 per-target snapshot regression, a diverged or stuck replica, or a
 replay-oracle mismatch (any served answer that does not equal progressive
@@ -24,7 +24,7 @@ def run(config):
     """Run the cluster loadgen per backend; returns an ExperimentResult."""
     result = ExperimentResult(
         name="cluster",
-        description="WAL-replicated fleet under routed load with "
+        description="journal-replicated fleet under routed load with "
                     "kill-and-catch-up fault injection (consistency-checked)",
     )
     n, m = config.cluster_graph

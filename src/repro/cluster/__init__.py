@@ -1,12 +1,13 @@
-"""repro.cluster — WAL-replicated multi-replica serving behind a router.
+"""repro.cluster — the replicated face of the one serving fleet.
 
 Horizontal scale-out for the serving layer: one durable **primary**
-(:class:`~repro.serve.SPCService`) owns the engine and the write-ahead
-log; K **replicas** bootstrap from its checkpoint and tail the WAL as a
-replication stream, each publishing its own immutable snapshots; a
-**router** spreads reads across the fleet under round-robin,
-least-loaded, or bounded-staleness policies, with sticky sessions for
-read-your-writes::
+(:class:`~repro.serve.SPCService`) owns the engine, the write-ahead log
+and the label-delta journal; R **replicas** — journal-tailing members of
+the fleet's single full hub slice (:class:`~repro.shard.Shard`) —
+bootstrap from its checkpoint and decode the journal, never re-running
+maintenance; the fleet's one **router** spreads reads across them under
+round-robin, least-loaded, or bounded-staleness policies, with sticky
+sessions for read-your-writes::
 
     import repro
     from repro.cluster import SPCCluster
@@ -17,28 +18,29 @@ read-your-writes::
         session = c.session()
         session.submit(InsertEdge(0, 9)).ack()   # ack = applied + published
         session.query(0, 9)       # routed; never older than the ack
-        c.kill_replica("replica-0")              # fault injection
-        c.restart_replica("replica-0")           # checkpoint + WAL tail
-        c.sync()                                 # whole fleet converged
+        c.kill("replica-0")       # fault injection
+        c.restart("replica-0")    # checkpoint + journal tail
+        c.sync()                  # whole fleet converged
 
-See DESIGN.md §11 for the replication protocol, bootstrap state machine,
-routing policies and failure model, and :mod:`repro.cluster.loadgen` /
-``repro-bench cluster`` for the kill-and-catch-up consistency harness.
+:func:`SPCCluster` and :func:`~repro.shard.ShardedCluster` are two
+constructors of one :class:`~repro.shard.fleet.Fleet` (K hub slices x R
+members).  See DESIGN.md §11 for the fleet model, routing policies and
+failure model, and :mod:`repro.cluster.loadgen` / ``repro-bench cluster``
+for the kill-and-catch-up consistency harness.
 """
 
-from repro.cluster.cluster import ClusterConfig, SPCCluster, cluster
+from repro.shard.fleet import ClusterConfig, Fleet, SPCCluster, cluster
+from repro.shard.router import POLICIES, Cut, FleetRouter
 from repro.cluster.loadgen import run_cluster_loadgen
-from repro.cluster.replica import Replica
-from repro.cluster.router import POLICIES, ClusterRouter, RoutedRead
 from repro.cluster.session import ClusterSession, WriteTicket
 
 __all__ = [
     "SPCCluster",
     "ClusterConfig",
     "cluster",
-    "Replica",
-    "ClusterRouter",
-    "RoutedRead",
+    "Fleet",
+    "FleetRouter",
+    "Cut",
     "POLICIES",
     "ClusterSession",
     "WriteTicket",

@@ -4,7 +4,7 @@ Drives mixed traffic against an :class:`~repro.cluster.SPCCluster` — N
 reader threads issuing routed point and batch queries, one submitter
 feeding the primary a cyclic update stream — while a fault controller
 kills one replica mid-stream and later crash-recovers it from the current
-checkpoint + WAL tail.  Like :mod:`repro.serve.loadgen`, the harness
+checkpoint + label-journal tail.  Like :mod:`repro.serve.loadgen`, the harness
 checks *consistency*, never timing (CI's cluster-smoke job trips only on
 violations):
 
@@ -40,7 +40,7 @@ import time
 
 from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import ClusterError
-from repro.cluster.cluster import ClusterConfig, SPCCluster
+from repro.shard.fleet import ClusterConfig, SPCCluster
 from repro.serve.loadgen import (
     _check_answer,
     _next_pair,
@@ -149,7 +149,7 @@ def _fault_controller(cluster, deadline, duration, record):
         if time.time() >= deadline:
             record.update(events=events, problems=problems)
             return
-        cluster.kill_replica("replica-0")
+        cluster.kill("replica-0")
         events["killed_at_seq"] = cluster.primary.applied_seq
         time.sleep(max(0.0, duration * 0.3))
         # A mid-run durable checkpoint (no truncation: the replay oracle
@@ -159,7 +159,7 @@ def _fault_controller(cluster, deadline, duration, record):
         target_seq = cluster.primary.applied_seq
         events["restarted_at_seq"] = target_seq
         start = time.perf_counter()
-        replica = cluster.restart_replica("replica-0")
+        replica = cluster.restart("replica-0")
         if replica.catch_up(target_seq, timeout=30.0):
             events["catch_up_ms"] = round(
                 (time.perf_counter() - start) * 1e3, 3
@@ -350,7 +350,7 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
         if own_dir:
             shutil.rmtree(state_dir, ignore_errors=True)
         raise
-    for name, replica in cluster.replicas.items():
+    for name, replica in cluster.members.items():
         if not replica.healthy:
             problems.append(
                 f"replica {name} ended unhealthy: {replica.fatal!r}"
@@ -409,11 +409,11 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
         "updates_applied": primary_stats["applied_updates"],
         "applied_batches": primary_stats["applied_batches"],
         "telemetry": list(telemetry_paths) if registry is not None else None,
-        "routed": stats["router"]["routed"],
+        "routed": stats["router"]["leases"],
         "primary_reads": stats["router"]["primary_reads"],
         "router_fallbacks": stats["router"]["fallbacks"],
         "router_waits": stats["router"]["waits"],
-        "replica_stats": stats["replicas"],
+        "replica_stats": stats["router"]["members"],
         "fault_injection": fault_record["events"],
         "consistency_problems": problems,
     }

@@ -33,7 +33,7 @@ def inc_spc(graph, index, a, b, stats=None):
     """Insert edge (a, b) into ``graph`` and repair ``index`` (Algorithm 2).
 
     The graph mutation is performed here (line 1 of the algorithm); both
-    endpoints must already exist — the dynamic facade handles new-vertex
+    endpoints must already exist — the engine handles new-vertex
     bookkeeping.  Returns an :class:`UpdateStats`.
     """
     if stats is None:

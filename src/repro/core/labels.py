@@ -31,7 +31,7 @@ The same reporting seam optionally feeds a *dirty-vertex sink*: a set the
 owning index installs (``set_dirty_sink``) that collects the owner vertex
 of every mutated label set.  The serving layer drains it after each
 applied batch to journal per-vertex label deltas for hub-partitioned
-shards (DESIGN.md §13) without the maintenance algorithms knowing.
+shards (DESIGN.md §11) without the maintenance algorithms knowing.
 """
 
 from bisect import bisect_left
@@ -241,7 +241,7 @@ def counting_probe(source_labels, target_label_of, hub_filter=None):
     of just those hubs.  Partials over a partition of the hub space combine
     back to the full answer with
     :func:`repro.audit.comparator.merge_partial_answers` — the algebra the
-    scatter-gather shard router is built on (DESIGN.md §13).
+    scatter-gather shard router is built on (DESIGN.md §11).
     """
     s_entry = {}
     if hub_filter is None:

@@ -405,7 +405,7 @@ class SPCEngine:
         """Replay WAL records — an iterable of ``(seq, updates)`` pairs —
         and return the last sequence number applied (``None`` when empty).
 
-        The replica-side apply path: records come from a write-ahead log,
+        The recovery-side apply path: records come from a write-ahead log,
         so they are already net-effect (the primary coalesced before
         logging) and must be applied verbatim, in order.  The whole record
         stream shares one ``begin/end_update_batch`` bracket, so backends

@@ -129,18 +129,18 @@ class AuditDivergenceError(ServeError):
 
 
 class ClusterError(ReproError):
-    """Raised for cluster-layer misuse or failure: routing when no target
-    satisfies the staleness bound, querying a dead replica, a replica that
-    failed to bootstrap or diverged from the replication stream, or a
-    fault-injection harness observing an inconsistency."""
+    """Raised for serving-fleet misuse or failure: an invalid fleet or
+    routing configuration, or a fault-injection harness observing an
+    inconsistency."""
 
 
 class ShardError(ClusterError):
-    """Raised by the hub-partitioned sharding layer (:mod:`repro.shard`):
-    a partitioner that does not cover the hub space, a scatter-gather read
-    that cannot assemble a consistent cross-shard cut, or a query routed
-    while a shard is down — the router *refuses* rather than serving a
-    partial (hence silently wrong) merged answer."""
+    """Raised by the fleet's members and router (:mod:`repro.shard`): a
+    partitioner that does not cover the hub space, a member that failed
+    to bootstrap, died or diverged from the primary's labels, or a read
+    that cannot assemble a consistent cut — with a slice down, the router
+    *refuses* rather than serving a partial (hence silently wrong) merged
+    answer."""
 
 
 class ObsError(ReproError):

@@ -1,7 +1,7 @@
 """Promote existing per-subsystem ``stats()`` dicts into the registry.
 
 Every layer of the stack already exposes a health accessor
-(``SPCService.stats``, ``ClusterRouter.stats``, ``Supervisor.stats``,
+(``SPCService.stats``, ``FleetRouter.stats``, ``Supervisor.stats``,
 ...).  Rather than duplicate that bookkeeping, the bind helpers walk
 one sample of the dict, and register a **callback gauge** per numeric
 leaf: exposition re-reads the live accessor, so the registry can never
@@ -107,15 +107,10 @@ def bind_engine(registry, engine, **labels):
     return names
 
 
-def bind_cluster_router(registry, router, **labels):
-    """``ClusterRouter.stats()`` -> ``repro_cluster_*`` gauges (routed,
-    fallbacks, waits, breaker trip counts, degraded serves)."""
-    return bind_stats(registry, "repro_cluster", router.stats, **labels)
-
-
-def bind_shard_router(registry, router, **labels):
-    """``ShardRouter.stats()`` -> ``repro_shard_*`` gauges (scattered
-    queries, refusals, cut waits)."""
+def bind_router(registry, router, **labels):
+    """``FleetRouter.stats()`` -> ``repro_shard_*`` gauges (routed pairs,
+    per-member leases, refusals, waits, breaker trip counts, degraded
+    serves)."""
     return bind_stats(registry, "repro_shard", router.stats, **labels)
 
 

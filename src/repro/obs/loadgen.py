@@ -39,7 +39,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve.loadgen import make_workload
 from repro.serve.service import ServeConfig
-from repro.shard.shardcluster import ShardConfig, ShardedCluster
+from repro.shard.fleet import ShardConfig, ShardedCluster
 
 #: the acceptance-mandated read-path stages, in pipeline order; the
 #: explicit ``unattributed`` remainder is what makes the per-stage sums

@@ -5,9 +5,9 @@
 temporal corpus, builds a deterministic :class:`~repro.replay.plan
 .ReplayPlan` (bootstrap cut + batched write tail + full read schedule —
 all randomness spent before the clock starts), stands up the scenario's
-fleet (:class:`~repro.serve.SPCService`, :class:`~repro.cluster
-.SPCCluster` or :class:`~repro.shard.ShardedCluster`) with the audit
-stack tapped on the read path, and replays:
+topology (a plain :class:`~repro.serve.SPCService`, or a fleet built by
+:func:`~repro.cluster.SPCCluster` / :func:`~repro.shard.ShardedCluster`)
+with the audit stack tapped on the read path, and replays:
 
 * a **writer** submits the tail batches at their virtual deadlines
   (virtual time → wall time via the plan's ``time_scale``), running
@@ -37,96 +37,49 @@ import time
 from repro.audit.comparator import DivergenceReport
 from repro.audit.sampler import AuditSampler
 from repro.audit.shadow import ShadowAuditor
-from repro.cluster.cluster import ClusterConfig, SPCCluster
 from repro.engine import EngineConfig, SPCEngine
-from repro.exceptions import (
-    AuditDivergenceError,
-    ClusterError,
-    ServeError,
-    ShardError,
-)
+from repro.exceptions import AuditDivergenceError, ClusterError, ServeError
 from repro.replay.plan import ReplayPlan
 from repro.replay.scenario import ReplayScenario, get_scenario
 from repro.serve.loadgen import _check_answer, _percentile
 from repro.serve.service import ServeConfig, SPCService
-from repro.shard.shardcluster import ShardConfig, ShardedCluster
+from repro.shard.fleet import SPCCluster, ShardedCluster
 
 
-class _Fleet:
-    """Uniform facade over the three serving topologies.
+#: scenario fault action -> the fleet operation it applies to a slice's
+#: first member.
+_FAULT_OPS = {"kill_shard": "kill", "restart_shard": "restart"}
 
-    Normalizes the seams the replay threads need — submit, read, tap,
-    fault actions, quiesce, close — so the engine is topology-blind.
-    """
 
-    def __init__(self, scenario, engine, state_dir):
-        self.kind = scenario.fleet
-        if self.kind == "service":
-            self.impl = SPCService(
-                engine,
-                config=ServeConfig(
-                    durability_dir=state_dir, queue_capacity=4096
-                ),
-                overwrite=True,
-            )
-            self.primary = self.impl
-        elif self.kind == "cluster":
-            self.impl = SPCCluster(
-                engine, state_dir,
-                config=ClusterConfig(replicas=scenario.replicas),
-                serve_config=ServeConfig(queue_capacity=4096),
-                overwrite=True,
-            )
-            self.primary = self.impl.primary
-        else:  # shard
-            self.impl = ShardedCluster(
-                engine, state_dir,
-                config=ShardConfig(shards=scenario.shards),
-                serve_config=ServeConfig(queue_capacity=4096),
-                overwrite=True,
-            )
-            self.primary = self.impl.primary
+def _open(scenario, engine, state_dir):
+    """Stand up the scenario's topology: a service or a fleet."""
+    serve_config = ServeConfig(queue_capacity=4096)
+    if scenario.fleet == "service":
+        return SPCService(
+            engine, config=serve_config.replace(durability_dir=state_dir),
+            overwrite=True,
+        )
+    if scenario.fleet == "cluster":
+        constructor, size = SPCCluster, {"replicas": scenario.replicas}
+    else:
+        constructor, size = ShardedCluster, {"shards": scenario.shards}
+    return constructor(engine, state_dir, serve_config=serve_config,
+                       overwrite=True, **size)
 
-    def set_answer_tap(self, tap):
-        if self.kind == "cluster":
-            self.impl.router.set_answer_tap(tap)
-        else:
-            self.impl.set_answer_tap(tap)
 
-    def set_metrics(self, registry, tracer=None):
-        """Install (or clear) telemetry on whichever topology runs."""
-        self.impl.set_metrics(registry, tracer=tracer)
+def _quiesce(serving, timeout=30.0):
+    """Apply everything submitted (and converge a fleet's members)."""
+    if isinstance(serving, SPCService):
+        serving.flush(timeout=timeout)
+    else:
+        serving.sync(timeout=timeout)
 
-    def submit_many(self, updates):
-        self.impl.submit_many(updates)
 
-    def query(self, s, t):
-        return self.impl.query(s, t)
-
-    def apply_fault(self, fault):
-        if fault.action == "kill_shard":
-            self.impl.kill_shard(fault.target)
-        elif fault.action == "restart_shard":
-            self.impl.restart_shard(fault.target)
-        else:
-            raise ServeError(
-                f"fleet {self.kind!r} cannot apply fault {fault.action!r}"
-            )
-
-    def quiesce(self, timeout=30.0):
-        """Apply everything submitted (and converge followers)."""
-        if self.kind == "service":
-            self.impl.flush(timeout=timeout)
-        elif self.kind == "cluster":
-            self.impl.sync(timeout=timeout)
-        else:
-            self.impl.sync(timeout=timeout)
-
-    def close(self):
-        try:
-            self.impl.close()
-        except (ServeError, ClusterError):
-            pass
+def _close(serving):
+    try:
+        serving.close()
+    except (ServeError, ClusterError):
+        pass
 
 
 def _writer_loop(fleet, plan, start, record, pacing_hist=None):
@@ -207,7 +160,10 @@ def _fault_controller(fleet, faults, start, duration, record):
     try:
         for fault in sorted(faults, key=lambda f: f.at):
             time.sleep(max(0.0, start + duration * fault.at - time.time()))
-            fleet.apply_fault(fault)
+            op = _FAULT_OPS.get(fault.action)
+            if op is None:
+                raise ServeError(f"fleet cannot apply fault {fault.action!r}")
+            getattr(fleet, op)(fleet.config.member_name(fault.target, 0))
             events.append({
                 "action": fault.action,
                 "target": fault.target,
@@ -262,7 +218,7 @@ def run_replay_scenario(scenario, seed=0, duration=None, corpus_kwargs=None,
     fleet = None
     auditor = None
     try:
-        fleet = _Fleet(scenario, engine, state_dir)
+        fleet = _open(scenario, engine, state_dir)
         sampler = AuditSampler(
             rate=scenario.sample_rate, capacity=scenario.reservoir,
             seed=seed + 5,
@@ -290,7 +246,7 @@ def run_replay_scenario(scenario, seed=0, duration=None, corpus_kwargs=None,
             except ServeError:
                 pass
         if fleet is not None:
-            fleet.close()
+            _close(fleet)
         if own_dir:
             shutil.rmtree(state_dir, ignore_errors=True)
         raise
@@ -333,14 +289,14 @@ def run_replay_scenario(scenario, seed=0, duration=None, corpus_kwargs=None,
             # Prove recovery explicitly: a synced fleet must answer again.
             recovered = True
             try:
-                fleet.quiesce(timeout=30.0)
+                _quiesce(fleet)
                 _, s, t = plan.queries[0]
                 fleet.query(s, t)
             except ClusterError as exc:
                 recovered = False
                 problems.append(f"post-restart read failed: {exc}")
         else:
-            fleet.quiesce(timeout=30.0)
+            _quiesce(fleet)
         if not auditor.drain(timeout=drain_timeout):
             problems.append(
                 f"auditor failed to drain within {drain_timeout} s "
@@ -365,11 +321,11 @@ def run_replay_scenario(scenario, seed=0, duration=None, corpus_kwargs=None,
             auditor.close()
         except ServeError:
             pass
-        fleet.close()
+        _close(fleet)
         if own_dir:
             shutil.rmtree(state_dir, ignore_errors=True)
         raise
-    fleet.close()
+    _close(fleet)
     if own_dir:
         shutil.rmtree(state_dir, ignore_errors=True)
 

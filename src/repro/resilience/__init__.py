@@ -29,7 +29,7 @@ Example
 >>> from repro.resilience import Supervisor
 >>> cluster = SPCCluster(engine, state_dir)                # doctest: +SKIP
 >>> with Supervisor(cluster) as sup:                       # doctest: +SKIP
-...     cluster.kill_replica("replica-0")   # injected fault...
+...     cluster.kill("replica-0")           # injected fault...
 ...     ...                                 # ...self-heals under load
 """
 

@@ -1,13 +1,13 @@
 """Chaos harness: a serving fleet under disk faults, judged strictly.
 
 Drives concurrent routed reads and a cyclic update stream against a
-:class:`~repro.cluster.SPCCluster` or :class:`~repro.shard.ShardedCluster`
-wrapped in a :class:`~repro.resilience.Supervisor`, then walks a
-sequential fault schedule through the whole failure model (DESIGN.md
-§14):
+fleet built by :func:`~repro.cluster.SPCCluster` or
+:func:`~repro.shard.ShardedCluster`, wrapped in a
+:class:`~repro.resilience.Supervisor`, then walks a sequential fault
+schedule through the whole failure model (DESIGN.md §14):
 
 1. **kill** — hard-stop one follower mid-stream;
-2. **flip** — flip a bit inside an interior WAL/journal record, then
+2. **flip** — flip a bit inside an interior label-journal record, then
    kill a member so its replacement must re-read the poisoned region;
 3. **ckpt** — flip a bit inside the checkpoint document, then kill a
    member so its restart must bootstrap from it;
@@ -16,10 +16,11 @@ sequential fault schedule through the whole failure model (DESIGN.md
    the stream for *every* tailing member at once;
 5. **enospc** — arm an injected ``OSError(ENOSPC)`` at the checkpoint
    seam and demand a typed, fail-stop refusal (then a clean retry);
-6. **crashloop** (cluster fleet only) — kill the same member every time
-   the supervisor brings it back, until the crash-loop budget marks it
-   ``failed`` (a permanently-refusing shard would take the whole sharded
-   read path with it, so the sharded fleet skips this phase by design).
+6. **crashloop** (fleets whose slices have at least 2 members) — kill
+   the same member every time the supervisor brings it back, until the
+   crash-loop budget marks it ``failed`` (a slice's last member failing
+   permanently would take the whole merged read path with it, so
+   single-member slices skip this phase by design).
 
 The judgment is strict and explicit, not statistical:
 
@@ -48,7 +49,6 @@ import time
 from repro.audit.comparator import DivergenceReport
 from repro.audit.sampler import AuditSampler
 from repro.audit.shadow import ShadowAuditor
-from repro.cluster.cluster import ClusterConfig, SPCCluster
 from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import (
     AuditDivergenceError,
@@ -67,14 +67,9 @@ from repro.resilience.chaos import (
 from repro.resilience.supervisor import Supervisor
 from repro.serve.loadgen import _percentile, make_workload
 from repro.serve.persist import load_checkpoint
-from repro.serve.service import (
-    JOURNAL_FILENAME,
-    SNAPSHOT_FILENAME,
-    WAL_FILENAME,
-    ServeConfig,
-)
+from repro.serve.service import JOURNAL_FILENAME, SNAPSHOT_FILENAME, ServeConfig
 from repro.serve.wal import WalTailer
-from repro.shard.shardcluster import ShardConfig, ShardedCluster
+from repro.shard.fleet import SPCCluster, ShardedCluster
 
 #: refusal types the read path may raise by design (counted, not failed).
 _REFUSALS = (ClusterError, ShardError)
@@ -122,17 +117,14 @@ def _reader_loop(fleet_obj, pairs, stop, deadline, seed, record):
             s, t = pairs[rng.randrange(len(pairs))]
             start = time.perf_counter()
             try:
-                # cluster routers tag (answer, seq, target); shard routers
-                # tag (answer, seq) — the merged answer has no one target.
-                tagged = fleet_obj.query_tagged(s, t)
-                target = tagged[2] if len(tagged) > 2 else ""
+                _answer, _seq, target = fleet_obj.query_tagged(s, t)
             except _REFUSALS:
                 refusals += 1
                 time.sleep(0.002)  # don't hot-spin against a down fleet
                 continue
             latencies.append(time.perf_counter() - start)
             reads += 1
-            if isinstance(target, str) and target.endswith("+degraded"):
+            if target.endswith("+degraded"):
                 degraded_reads += 1
             if reads % 64 == 0:
                 batch = [pairs[rng.randrange(len(pairs))] for _ in range(8)]
@@ -174,53 +166,21 @@ def _submitter_loop(fleet_obj, cycle, stop, deadline, batch_size, pause,
     record["submitted"] = submitted
 
 
-class _Fleet:
-    """Duck-typing shim the phase schedule drives (cluster or shard)."""
+def _caught_up(fleet_obj, target_seq, exclude=()):
+    """Every member outside ``exclude`` is healthy and at ``target_seq``."""
+    return all(
+        m.healthy and m.applied_seq >= target_seq
+        for name, m in fleet_obj.members.items()
+        if name not in exclude
+    )
 
-    def __init__(self, fleet_obj, kind, state_dir):
-        self.obj = fleet_obj
-        self.kind = kind
-        self.stream_path = os.path.join(
-            state_dir,
-            WAL_FILENAME if kind == "cluster" else JOURNAL_FILENAME,
-        )
-        self.snapshot_path = os.path.join(state_dir, SNAPSHOT_FILENAME)
 
-    def members(self):
-        if self.kind == "cluster":
-            return dict(self.obj.replicas)
-        return dict(self.obj.shards)
-
-    def kill(self, key):
-        if self.kind == "cluster":
-            self.obj.kill_replica(key)
-        else:
-            self.obj.kill_shard(key)
-
-    def victims(self):
-        """Member keys in kill order (rotated across phases)."""
-        return sorted(self.members())
-
-    def healthy(self, exclude=()):
-        return all(
-            m.healthy
-            for m in self.members().values()
-            if m.name not in exclude
-        )
-
-    def caught_up(self, target_seq, exclude=()):
-        return all(
-            m.healthy and m.applied_seq >= target_seq
-            for m in self.members().values()
-            if m.name not in exclude
-        )
-
-    def serves(self, pair):
-        try:
-            self.obj.query_tagged(*pair)
-            return True
-        except _REFUSALS:
-            return False
+def _serves(fleet_obj, pair):
+    try:
+        fleet_obj.query_tagged(*pair)
+        return True
+    except _REFUSALS:
+        return False
 
 
 def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
@@ -241,11 +201,11 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
     ends when the last phase settles.  ``heal_timeout`` bounds each
     phase's recovery wait; ``mttr_bound``, when set, additionally fails
     (strict mode) any phase whose measured MTTR exceeds it.  ``degraded``
-    forwards to the routers (``"stale"`` lets reads degrade to tagged
+    forwards to the router (``"stale"`` lets reads degrade to tagged
     bounded-staleness answers instead of refusing — still audited).
-    ``ring_size`` deepens each shard's published-view ring (shard fleets
-    only): a degraded cut can only reach back as far as every ring still
-    holds a view, so a degraded-mode run wants ``ring_size`` and
+    ``ring_size`` deepens each member's published-view ring: a degraded
+    cut can only reach back as far as every slice's rings still hold a
+    view, so a degraded-mode run wants ``ring_size`` and
     ``degraded_max_lag`` sized to cover a restart window's worth of
     batches.  See the module docstring for the full contract.
     """
@@ -261,32 +221,17 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
     fleet_obj = None
     auditor = None
     supervisor = None
+    if fleet == "cluster":
+        constructor, size = SPCCluster, {"replicas": replicas}
+    else:
+        constructor, size = ShardedCluster, {"shards": shards}
     try:
-        if fleet == "cluster":
-            fleet_obj = SPCCluster(
-                engine, state_dir,
-                config=ClusterConfig(
-                    replicas=replicas,
-                    wait_timeout=wait_timeout,
-                    degraded=degraded,
-                    degraded_max_lag=degraded_max_lag,
-                    stall_budget=stall_budget,
-                ),
-                serve_config=serve_config, overwrite=True,
-            )
-        else:
-            fleet_obj = ShardedCluster(
-                engine, state_dir,
-                config=ShardConfig(
-                    shards=shards,
-                    wait_timeout=wait_timeout,
-                    degraded=degraded,
-                    degraded_max_lag=degraded_max_lag,
-                    ring_size=ring_size,
-                    stall_budget=stall_budget,
-                ),
-                serve_config=serve_config, overwrite=True,
-            )
+        fleet_obj = constructor(
+            engine, state_dir, serve_config=serve_config, overwrite=True,
+            wait_timeout=wait_timeout, degraded=degraded,
+            degraded_max_lag=degraded_max_lag, ring_size=ring_size,
+            stall_budget=stall_budget, **size,
+        )
         sampler = AuditSampler(
             rate=sample_rate, capacity=reservoir, seed=seed + 5
         )
@@ -321,7 +266,8 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
             shutil.rmtree(state_dir, ignore_errors=True)
         raise
 
-    shim = _Fleet(fleet_obj, fleet, state_dir)
+    stream_path = os.path.join(state_dir, JOURNAL_FILENAME)
+    snapshot_path = os.path.join(state_dir, SNAPSHOT_FILENAME)
     run_started = time.time()
     hard_deadline = run_started + duration
     stop = threading.Event()
@@ -397,25 +343,23 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
     def catch_up_pred():
         target = fleet_obj.primary.applied_seq
         return lambda: (
-            shim.caught_up(target, exclude=failed_members)
-            and shim.serves(probe)
+            _caught_up(fleet_obj, target, exclude=failed_members)
+            and _serves(fleet_obj, probe)
         )
 
     try:
         for t in threads:
             t.start()
-        victims = shim.victims()
-        members_by_key = shim.members()
+        victims = sorted(fleet_obj.members)
 
         # Warm up: the stream needs interior records to corrupt.
         fleet_obj.sync(timeout=30.0)
-        _await(lambda: os.path.getsize(shim.stream_path) > 0, 5.0)
+        _await(lambda: os.path.getsize(stream_path) > 0, 5.0)
 
         # -- phase 1: crash ------------------------------------------------
         def inject_kill():
-            key = victims[0]
-            shim.kill(key)
-            return {"member": members_by_key[key].name}
+            fleet_obj.kill(victims[0])
+            return {"member": victims[0]}
 
         run_phase(
             "kill", inject_kill, catch_up_pred(),
@@ -425,15 +369,14 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
 
         # -- phase 2: acknowledged-then-corrupted record -------------------
         def inject_flip():
-            info = flip_bit_in_record(shim.stream_path, seed=seed + 17)
+            info = flip_bit_in_record(stream_path, seed=seed + 17)
             # Scan *before* killing anyone: once the supervisor's repair
             # rewrites the stream, the evidence is gone.
-            info["corruption"] = _scan_stream(shim.stream_path)
+            info["corruption"] = _scan_stream(stream_path)
             # The live members are already past the poisoned offset; kill
             # one so its replacement must re-read the damaged region.
-            key = victims[1 % len(victims)]
-            shim.kill(key)
-            info["member"] = members_by_key[key].name
+            info["member"] = victims[1 % len(victims)]
+            fleet_obj.kill(info["member"])
             return info
 
         def detect_flip(inj):
@@ -446,15 +389,14 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
 
         # -- phase 3: corrupted checkpoint ---------------------------------
         def inject_ckpt():
-            info = corrupt_checkpoint(shim.snapshot_path, seed=seed + 23)
+            info = corrupt_checkpoint(snapshot_path, seed=seed + 23)
             try:
-                load_checkpoint(shim.snapshot_path)
+                load_checkpoint(snapshot_path)
                 info["refusal"] = None
             except (WalCorruptionError, ServeError) as exc:
                 info["refusal"] = exc
-            key = victims[0]
-            shim.kill(key)
-            info["member"] = members_by_key[key].name
+            info["member"] = victims[0]
+            fleet_obj.kill(victims[0])
             return info
 
         def detect_ckpt(inj):
@@ -469,7 +411,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
 
         # -- phase 4: torn write glued by a live writer --------------------
         def inject_torn():
-            return torn_write(shim.stream_path)
+            return torn_write(stream_path)
 
         def detect_torn(_inj):
             # The fragment alone is a benign torn tail; the submitter's
@@ -481,7 +423,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
             holder = {}
 
             def welded():
-                holder["c"] = _scan_stream(shim.stream_path)
+                holder["c"] = _scan_stream(stream_path)
                 if holder["c"] is not None:
                     return True
                 return supervisor.stats()["repairs"] > repairs_before
@@ -527,14 +469,13 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
             except ServeError:
                 return False
             fleet_obj.primary.set_disk_fault(None)
-            return shim.serves(probe)
+            return _serves(fleet_obj, probe)
 
         run_phase("enospc", inject_enospc, enospc_healed, detect_enospc)
 
-        # -- phase 6: crash loop → budget → failed (cluster only) ----------
-        if fleet == "cluster":
-            victim_key = victims[-1]
-            victim_name = members_by_key[victim_key].name
+        # -- phase 6: crash loop → budget → failed (replicated slices) ----
+        if fleet_obj.config.replicas >= 2:
+            victim_name = victims[-1]
 
             def inject_crashloop():
                 # Phase staging, not a repair: compact the stream so a
@@ -551,12 +492,12 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
                 if state == "failed":
                     failed_members.add(victim_name)
                     return (
-                        shim.healthy(exclude=failed_members)
-                        and shim.serves(probe)
+                        all(m.healthy for name, m in fleet_obj.members.items()
+                            if name not in failed_members)
+                        and _serves(fleet_obj, probe)
                     )
-                member = shim.members().get(victim_key)
-                if member is not None and member.healthy:
-                    shim.kill(victim_key)
+                if fleet_obj.members[victim_name].healthy:
+                    fleet_obj.kill(victim_name)
                     kills["n"] += 1
                 return False
 
@@ -586,7 +527,8 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
         fleet_obj.primary.flush(timeout=30.0)
         settle_target = fleet_obj.primary.applied_seq
         if not _await(
-            lambda: shim.caught_up(settle_target, exclude=failed_members),
+            lambda: _caught_up(fleet_obj, settle_target,
+                               exclude=failed_members),
             heal_timeout,
         ):
             problems.append(
@@ -660,7 +602,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
     result = {
         "backend": backend,
         "fleet": fleet,
-        "members": replicas if fleet == "cluster" else shards,
+        "members": len(fleet_obj.members),
         "readers": readers,
         "duration_s": round(elapsed, 3),
         "graph": {"n": n, "m": m},
@@ -692,8 +634,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
         "router": {
             k: router_stats.get(k)
             for k in ("routed", "refusals", "fast_refusals", "waits",
-                      "cut_waits", "breaker_skips", "degraded_serves")
-            if k in router_stats
+                      "breaker_skips", "degraded_serves")
         },
         "chaos_problems": problems,
     }

@@ -4,8 +4,7 @@ The serving fleets already *detect* every failure the ROADMAP's failure
 model names — a dead applier surfaces as ``healthy == False`` with a
 ``fatal`` error, tail lag is ``primary.applied_seq - member.applied_seq``,
 and checksum-failed stream records show up in ``stream_corruptions`` —
-but until this module recovery was a manual ``restart_replica`` /
-``restart_shard`` call.  The :class:`Supervisor` closes that loop:
+but until this module recovery was a manual ``restart`` call.  The :class:`Supervisor` closes that loop:
 
 * every ``poll_interval`` it folds each member's health, lag and
   corruption count into a shared :class:`~repro.resilience.HealthMonitor`
@@ -30,7 +29,7 @@ reports healthy — the measured MTTR.  The chaos harness
 records.
 
 The supervisor watches *followers* only.  The primary is the
-single-writer authority both fleets are defined against; restarting it
+single-writer authority the fleet is defined against; restarting it
 is a different operation (restore-from-checkpoint) with different
 guarantees, and pretending a watchdog can do it safely would be worse
 than refusing.
@@ -153,20 +152,20 @@ class _Control:
 
 
 class Supervisor:
-    """Self-healing watchdog over an :class:`~repro.cluster.SPCCluster`
-    or a :class:`~repro.shard.ShardedCluster`.
+    """Self-healing watchdog over a :class:`~repro.shard.fleet.Fleet`
+    (built by :func:`~repro.cluster.SPCCluster` or
+    :func:`~repro.shard.ShardedCluster` alike).
 
-    The fleet is duck-typed: anything with ``primary``, a member mapping
-    (``replicas`` or ``shards``), the matching ``restart_replica`` /
-    ``restart_shard`` method and ``checkpoint(truncate_wal=...)`` works.
-    Pass a shared :class:`HealthMonitor` to fold several fleets into one
-    event log, or let the supervisor build its own.
+    It drives the fleet's ``primary``, ``members``, ``restart(name)``,
+    ``checkpoint(truncate_wal=...)`` and ``router.notify_event``.  Pass a
+    shared :class:`HealthMonitor` to fold several fleets into one event
+    log, or let the supervisor build its own.
 
     Example
     -------
     >>> from repro.resilience import Supervisor
     >>> with Supervisor(cluster) as sup:                # doctest: +SKIP
-    ...     cluster.kill_replica("replica-0")  # dies...
+    ...     cluster.kill("replica-0")          # dies...
     ...     sup.incidents                      # ...heals: [Incident(...)]
     """
 
@@ -175,21 +174,16 @@ class Supervisor:
             config = SupervisorConfig(**overrides)
         elif overrides:
             config = config.replace(**overrides)
+        # Deferred: the fleet's router imports repro.resilience.
+        from repro.shard.fleet import Fleet
+
+        if not isinstance(fleet, Fleet):
+            raise ReproError(
+                f"cannot supervise {type(fleet).__name__}: it is not a "
+                f"serving fleet"
+            )
         self.config = config
         self._fleet = fleet
-        if hasattr(fleet, "restart_replica"):
-            self._kind = "cluster"
-            self._member_map = lambda: fleet.replicas
-            self._restart_member = fleet.restart_replica
-        elif hasattr(fleet, "restart_shard"):
-            self._kind = "shard"
-            self._member_map = lambda: fleet.shards
-            self._restart_member = fleet.restart_shard
-        else:
-            raise ReproError(
-                f"cannot supervise {type(fleet).__name__}: it has neither "
-                f"restart_replica nor restart_shard"
-            )
         if monitor is None:
             monitor = HealthMonitor(lag_threshold=config.lag_threshold)
         self.monitor = monitor
@@ -205,11 +199,9 @@ class Supervisor:
         # Health transitions double as router wakeups: the moment a
         # member is swapped back in, blocked acquires re-examine the
         # fleet instead of sleeping out their wait slice.
-        router = getattr(fleet, "router", None)
-        if router is not None and hasattr(router, "notify_event"):
-            monitor.add_listener(router.notify_event)
-        for key, member in self._member_map().items():
-            monitor.register(member.name, "up" if member.healthy else "down")
+        monitor.add_listener(fleet.router.notify_event)
+        for name, member in fleet.members.items():
+            monitor.register(name, "up" if member.healthy else "down")
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._watch_loop, name="repro-supervisor", daemon=True
@@ -234,8 +226,7 @@ class Supervisor:
         self._ticks += 1
         now = self._clock()
         primary_seq = self._fleet.primary.applied_seq
-        for key, member in list(self._member_map().items()):
-            name = member.name
+        for name, member in list(self._fleet.members.items()):
             self.monitor.register(name)
             ctl = self._ctl.get(name)
             if ctl is None:
@@ -279,9 +270,9 @@ class Supervisor:
                 ctl.next_attempt_at = now  # first restart: immediately
             if now < ctl.next_attempt_at:
                 continue
-            self._maybe_restart(key, member, name, ctl, now)
+            self._maybe_restart(member, name, ctl, now)
 
-    def _maybe_restart(self, key, member, name, ctl, now):
+    def _maybe_restart(self, member, name, ctl, now):
         window_start = now - self.config.budget_window
         while ctl.attempts and ctl.attempts[0] < window_start:
             ctl.attempts.popleft()
@@ -311,7 +302,7 @@ class Supervisor:
         if corrupt and self.config.repair_corruption:
             self._repair(ctl)
         try:
-            self._restart_member(key)
+            self._fleet.restart(name)
         except Exception as exc:  # noqa: BLE001 — classified below
             # A restart that dies bootstrapping from a corrupt checkpoint
             # is itself a corruption signal: repair, then retry on the
@@ -379,11 +370,6 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     @property
-    def kind(self):
-        """``"cluster"`` or ``"shard"`` — which fleet shape is watched."""
-        return self._kind
-
-    @property
     def incidents(self):
         """Closed :class:`Incident` records, in detection order.
 
@@ -407,7 +393,6 @@ class Supervisor:
             repair_failures = self._repair_failures
         recovered = [i.mttr_s for i in incidents if i.mttr_s is not None]
         return {
-            "kind": self._kind,
             "ticks": self._ticks,
             "restarts": restarts,
             "repairs": repairs,
@@ -457,7 +442,6 @@ class Supervisor:
 
     def __repr__(self):
         return (
-            f"Supervisor(kind={self._kind!r}, "
-            f"members={sorted(self.monitor.states())}, "
+            f"Supervisor(members={sorted(self.monitor.states())}, "
             f"restarts={self._restarts})"
         )

@@ -130,10 +130,11 @@ def filter_label_payload(lp, keep):
     Handles every family's payload shape: entry lists (core / weighted /
     sd — the hub rank is always ``entry[0]``) and the directed backend's
     ``{"in": [...], "out": [...]}`` pair.  ``None`` (vertex gone) passes
-    through, so journal ``lb`` ops can be filtered with the same function.
+    through, so journal ``lb`` ops can be filtered with the same function;
+    ``keep=None`` keeps every hub (a full slice) and returns ``lp`` as is.
     """
-    if lp is None:
-        return None
+    if lp is None or keep is None:
+        return lp
     if isinstance(lp, dict):
         return {
             fam: [e for e in entries if keep(e[0])]

@@ -46,7 +46,7 @@ from repro.serve.wal import WriteAheadLog, is_loggable, read_wal
 SNAPSHOT_FILENAME = "snapshot.json"
 WAL_FILENAME = "wal.jsonl"
 #: the label-delta journal (written only under ServeConfig.label_journal) —
-#: the replication stream hub-partitioned shards tail (repro.shard).
+#: the replication stream every fleet member tails (repro.shard).
 JOURNAL_FILENAME = "labels.jsonl"
 
 
@@ -98,11 +98,11 @@ class ServeConfig:
         alongside the WAL: after each applied batch the writer records the
         post-batch label state of every vertex whose labels changed (via
         the index's dirty-vertex sink), or a full-dump reset record when
-        the index object was replaced (a rebuild).  Hub-partitioned shards
-        (:mod:`repro.shard`) tail this journal and materialize only their
+        the index object was replaced (a rebuild).  Fleet members
+        (:mod:`repro.shard`) tail this journal and materialize their
         hub-range slice — the paper's maintenance algorithms need the full
         index for their pruning probes, so slices are replicated as
-        materialized views instead of maintained locally (DESIGN.md §13).
+        materialized views instead of maintained locally (DESIGN.md §11).
         Requires a ``durability_dir``; compaction truncates the journal in
         lockstep with the WAL.
     """

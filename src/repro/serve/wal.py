@@ -28,8 +28,9 @@ Besides the batch reader (:func:`read_wal`, restore's replay path) the
 module ships :class:`WalTailer` — the replication stream: an incremental
 reader that remembers its file position, yields newly appended records in
 sequence order, and detects compaction (the primary checkpointed and
-truncated the log beneath it) so a replica knows to re-bootstrap from the
-fresh checkpoint.
+truncated the log beneath it) so a follower knows to re-bootstrap from the
+fresh checkpoint.  Fleet members tail the label journal with it, the
+shadow auditor the WAL itself.
 """
 
 import json
@@ -353,7 +354,7 @@ class WriteAheadLog:
 
 
 class WalTailer:
-    """Incremental WAL reader — the replication stream a replica tails.
+    """Incremental WAL reader — the replication stream a follower tails.
 
     Remembers a byte offset and the last sequence number it handed out;
     each :meth:`poll` reopens the file (robust against the writer's

@@ -36,7 +36,7 @@ from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import AuditDivergenceError, ShardError, ServeError
 from repro.serve.loadgen import _percentile, make_workload
 from repro.serve.service import ServeConfig
-from repro.shard.shardcluster import ShardConfig, ShardedCluster
+from repro.shard.fleet import ShardConfig, ShardedCluster
 
 
 def _primary_entries(engine):
@@ -131,13 +131,13 @@ def _fault_controller(cluster, deadline, duration, restart, shared, record):
     try:
         time.sleep(max(0.0, start + duration * 0.35 - time.time()))
         if time.time() < deadline:
-            cluster.kill_shard(0)
+            cluster.kill("shard-0")
             events["killed"] = "shard-0"
             events["killed_at_seq"] = cluster.primary.applied_seq
         if restart:
             time.sleep(max(0.0, start + duration * 0.65 - time.time()))
             if "killed" in events and time.time() < deadline:
-                cluster.restart_shard(0)
+                cluster.restart("shard-0")
                 events["restarted"] = "shard-0"
                 events["restarted_at_seq"] = cluster.primary.applied_seq
                 for rec in shared:
@@ -313,7 +313,7 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
     # are tracked continuously by their stores.
     primary_entries = max(entries_at_start, entries_at_end)
     shard_peaks = {
-        s["name"]: s["peak_entries"] for s in router_stats["shards"]
+        s["name"]: s["peak_entries"] for s in router_stats["members"]
     }
     bound = (1.0 + epsilon) / shards
     ratios = {
@@ -382,9 +382,9 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
         "router": {
             "routed": router_stats["routed"],
             "refusals": router_stats["refusals"],
-            "cut_waits": router_stats["cut_waits"],
+            "waits": router_stats["waits"],
         },
-        "shards": router_stats["shards"],
+        "shards": router_stats["members"],
         "memory": memory,
         "telemetry": list(telemetry_paths) if registry is not None else None,
         "fault_injection": dict(

@@ -202,7 +202,7 @@ def balanced_boundaries(weights, num_shards):
 
 
 def make_partitioner(kind, num_shards, payload=None, seed=0):
-    """Build a partitioner by strategy name (``ShardConfig.partitioner``).
+    """Build a partitioner by strategy name (``ClusterConfig.partitioner``).
 
     ``"hash"`` needs no index knowledge; ``"range"`` (equal-width) and
     ``"balanced"`` read the checkpoint ``payload`` the shards will

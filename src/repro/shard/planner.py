@@ -1,12 +1,10 @@
-"""Batch planning shared by the replica and shard routers.
+"""Batch planning for the fleet router's ``query_many``.
 
-Both ``query_many`` paths face the same shape of work: a list of query
-pairs, several independent serving targets, and answers that must come
-back in submission order.  The planner keeps the deterministic part —
-how to split a batch and how to reassemble ordered results — in one
-place, so :class:`~repro.cluster.ClusterRouter` (split across healthy
-replicas) and :class:`~repro.shard.ShardRouter` (split into concurrent
-sub-batches over one consistent cut) cannot drift apart.
+A large batch is a list of query pairs, several live members able to
+serve it, and answers that must come back in submission order.  The
+planner keeps the deterministic part — how to split a batch and how to
+reassemble ordered results — in one place, apart from
+:class:`~repro.shard.FleetRouter`'s selection logic.
 
 Splits are *contiguous*: chunk boundaries preserve submission order, so
 reassembly is a positional write, and a sub-batch maps back to a

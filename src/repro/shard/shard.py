@@ -1,22 +1,28 @@
 """Shard: one hub slice of the index, kept fresh by tailing the journal.
 
-A :class:`Shard` is a *materialized view*, not an engine: it holds no
-graph and runs no maintenance algorithm (the paper's pruning rules need
-the whole index — a slice would under-prune and corrupt counts; see
-DESIGN.md §13).  Its state is a :class:`ShardStore` mapping every vertex
-to the label entries whose hub falls in this shard's slice, bootstrapped
-by filtering the primary's checkpoint
+A :class:`Shard` is the one fleet member class — a *materialized view*,
+not an engine: it holds no graph and runs no maintenance algorithm (the
+paper's pruning rules need the whole index — a slice would under-prune
+and corrupt counts; see DESIGN.md §11).  Its state is a
+:class:`ShardStore` mapping every vertex to the label entries whose hub
+falls in this member's slice (every entry, for the full slice of a
+replicated fleet), bootstrapped by filtering the primary's checkpoint
 (:func:`repro.serve.persist.checkpoint_label_slice`) and advanced by one
-applier thread tailing the primary's label-delta journal — the same
-bootstrap / tail / re-bootstrap-on-gap state machine as a
-:class:`~repro.cluster.Replica`, down to the stalled-bootstrap suicide.
+applier thread that decodes the primary's label-delta journal.  Applying
+a batch costs a journal decode, never an IncSPC/DecSPC run.
+
+The applier is a small state machine: **bootstrap** from the current
+checkpoint, **tail** the journal, **re-bootstrap** when the tailer
+reports a gap (the primary compacted the journal beneath it), and die
+visibly after ``stall_budget`` re-bootstraps that made no progress (a
+corrupt journal record that no fresh checkpoint can skip).
 
 For reads the applier *publishes* an immutable view (a shallow copy of
 the store — entry lists are shared structurally, so a view costs O(V)
 references, not a label copy) per applied journal record into a bounded
-seq-indexed ring.  Rings are what make cross-shard consistency cheap:
-because every shard publishes at every journal seq, the router can pick
-one seq and read each shard's view *at exactly that seq* — a consistent
+seq-indexed ring.  Rings are what make cross-slice consistency cheap:
+because every member publishes at every journal seq, the router can pick
+one seq and read each slice's view *at exactly that seq* — a consistent
 cut — instead of coordinating the appliers.
 """
 
@@ -45,40 +51,34 @@ ENTRY_BYTES = 8
 
 
 def partial_answer(s_entries, t_entries, counts=True):
-    """Two-pointer merge of two hub-sliced label entry lists.
+    """Merge two hub-sliced label entry lists into a partial answer.
 
-    Exactly the full index's query merge (entries are sorted by hub
-    rank), restricted to whatever hubs survived this shard's filter: the
-    minimal ``d(s,h) + d(h,t)`` over the slice's common hubs, with path
-    counts multiplied per hub and summed over minimal-distance hubs.
-    Returns the partial ``(dist, count)`` — ``(inf, 0)`` when the slice
-    contributes nothing, ``(dist, None)`` for distance-only families —
-    ready for :func:`repro.audit.merge_partial_answers`.
+    The full index's query merge restricted to whatever hubs survived
+    this member's filter: the minimal ``d(s,h) + d(h,t)`` over the
+    slice's common hubs, with path counts multiplied per hub and summed
+    over minimal-distance hubs.  Hub ranks are unique within a list, so
+    the shorter list is hashed and the longer one probes it — cheaper in
+    pure Python than a two-pointer walk over nested entries.  Returns the
+    partial ``(dist, count)`` — ``(inf, 0)`` when the slice contributes
+    nothing, ``(dist, None)`` for distance-only families — ready for
+    :func:`repro.audit.merge_partial_answers`.
     """
+    if len(s_entries) > len(t_entries):
+        s_entries, t_entries = t_entries, s_entries
+    by_hub = {e[0]: e for e in s_entries}.get
     best = INF
     total = 0
-    i = j = 0
-    ns, nt = len(s_entries), len(t_entries)
-    while i < ns and j < nt:
-        es = s_entries[i]
-        et = t_entries[j]
-        hs, ht = es[0], et[0]
-        if hs < ht:
-            i += 1
-        elif ht < hs:
-            j += 1
-        else:
-            d = es[1] + et[1]
+    for et in t_entries:
+        es = by_hub(et[0])
+        if es is None:
+            continue
+        d = es[1] + et[1]
+        if d < best:
+            best = d
             if counts:
-                if d < best:
-                    best = d
-                    total = es[2] * et[2]
-                elif d == best:
-                    total += es[2] * et[2]
-            elif d < best:
-                best = d
-            i += 1
-            j += 1
+                total = es[2] * et[2]
+        elif d == best and counts:
+            total += es[2] * et[2]
     if not counts:
         return (best, None)
     return (best, total if best != INF else 0)
@@ -157,10 +157,11 @@ class Shard:
         The primary's ``durability_dir`` — checkpoint, WAL and the label
         journal (``labels.jsonl``) all live there.
     shard_id:
-        This shard's slot in the partitioner.
+        This member's slice slot in the partitioner.
     partitioner:
-        A :class:`~repro.shard.HubPartitioner`; this shard keeps hubs
-        with ``partitioner.shard_of(h) == shard_id``.
+        A :class:`~repro.shard.HubPartitioner`; this member keeps hubs
+        with ``partitioner.shard_of(h) == shard_id`` (all of them when
+        the partitioner has a single slot).
     ring_size:
         How many recent per-seq views to retain for consistent cuts.
     stall_budget:
@@ -169,8 +170,9 @@ class Shard:
         shortens it so a corrupted journal is declared dead quickly.
     """
 
-    #: consecutive no-progress re-bootstraps before the applier gives up
-    #: (same contract as Replica.MAX_STALLED_BOOTSTRAPS).
+    #: consecutive no-progress re-bootstraps before the applier gives up —
+    #: a gap no fresh checkpoint can advance past would otherwise
+    #: hot-loop forever while the member still reported healthy.
     MAX_STALLED_BOOTSTRAPS = 3
 
     def __init__(self, primary_dir, shard_id, partitioner, name=None,
@@ -178,7 +180,11 @@ class Shard:
         self.shard_id = shard_id
         self.name = name or f"shard-{shard_id}"
         self._dir = primary_dir
-        self._keep = partitioner.keep(shard_id)
+        #: hub predicate of this member's slice; ``None`` keeps every hub
+        #: (the full slice skips the per-entry filter).
+        self.keep = (
+            partitioner.keep(shard_id) if partitioner.num_shards > 1 else None
+        )
         self._poll_interval = poll_interval
         self._stall_budget = (
             self.MAX_STALLED_BOOTSTRAPS if stall_budget is None else stall_budget
@@ -272,8 +278,9 @@ class Shard:
     @property
     def stream_corruptions(self):
         """Typed corruption events the journal stream raised so far
-        (accumulated across re-bootstraps, same contract as
-        :attr:`repro.cluster.Replica.stream_corruptions`)."""
+        (accumulated across re-bootstraps — each fresh tailer re-reads the
+        journal from the head, so a poisoned interior record keeps
+        counting until the supervisor's repair rewrites the stream)."""
         tailer = self._tailer
         return self._corruptions_base + (
             tailer.corruptions if tailer is not None else 0
@@ -294,7 +301,7 @@ class Shard:
         while self._applied_seq < target_seq:
             if not self.healthy:
                 raise ShardError(
-                    f"shard {self.name!r} died at seq {self._applied_seq} "
+                    f"member {self.name!r} died at seq {self._applied_seq} "
                     f"while catching up to {target_seq}: {self._fatal!r}"
                 )
             if time.monotonic() >= deadline:
@@ -325,9 +332,9 @@ class Shard:
     def kill(self):
         """Hard-stop the applier mid-stream (fault injection).
 
-        Published views stay readable, but the shard stops following the
-        journal and reports unhealthy — which makes the router *refuse*
-        queries, since a missing hub slice cannot be merged around.
+        Published views stay readable, but the member stops following the
+        journal and reports unhealthy, so the router skips it (and
+        refuses reads once its slice has no live member left).
         Idempotent.  A join that times out (the applier is wedged) marks
         the shard fatal and issues a warning instead of silently leaking
         a live thread under whatever replaces this member.
@@ -336,7 +343,7 @@ class Shard:
         self._thread.join(timeout=10.0)
         if self._thread.is_alive():
             stuck = ShardError(
-                f"shard {self.name!r} applier thread failed to stop "
+                f"member {self.name!r} applier thread failed to stop "
                 f"within 10.0 s; the thread has leaked and the member "
                 f"must not be reused"
             )
@@ -350,7 +357,7 @@ class Shard:
         self.kill()
         if self._fatal is not None:
             raise ShardError(
-                f"shard {self.name!r} applier died: {self._fatal!r}"
+                f"member {self.name!r} applier died: {self._fatal!r}"
             ) from self._fatal
 
     def __enter__(self):
@@ -379,7 +386,7 @@ class Shard:
         self.directed = backend_cls.directed
         self.counts = backend_cls.counts
         store = ShardStore(directed=backend_cls.directed)
-        store.reset(checkpoint_label_slice(payload, self._keep).items())
+        store.reset(checkpoint_label_slice(payload, self.keep).items())
         if self._store is not None:
             # A re-bootstrap continues the lifetime peak across stores.
             store.peak_entries = max(
@@ -412,7 +419,7 @@ class Shard:
 
     def _apply_ops(self, ops):
         store = self._store
-        keep = self._keep
+        keep = self.keep
         for op in ops:
             kind = op[0]
             if kind == OP_LABEL:
@@ -433,8 +440,8 @@ class Shard:
         # Progress means advancing past the furthest seq ever reached —
         # a corruption-forced re-bootstrap re-reads the journal head and
         # re-applies the same prefix every round, and counting that as
-        # progress would hot-loop a poisoned stream forever (see the
-        # replica applier for the full rationale).
+        # progress would hot-loop a poisoned stream forever while the
+        # member still reported healthy.
         high_water = self._applied_seq
         try:
             while not self._stop.is_set():
@@ -460,7 +467,7 @@ class Shard:
                     stalled += 1
                     if stalled >= self._stall_budget:
                         raise ShardError(
-                            f"shard {self.name!r} cannot advance past a "
+                            f"member {self.name!r} cannot advance past a "
                             f"label-journal gap at seq {self._applied_seq}: "
                             f"{stalled} consecutive re-bootstraps made no "
                             f"progress (corrupt or incompatible journal at "

@@ -7,7 +7,6 @@ rational) weights when exact counts matter — the tests and benchmarks do.
 
 from repro.weighted.builder import build_weighted_spc_index
 from repro.weighted.decremental import dec_spc_weighted, increase_weight
-from repro.weighted.dynamic import DynamicWeightedSPC
 from repro.weighted.incremental import decrease_weight, inc_spc_weighted
 from repro.weighted.index import WeightedSPCIndex
 
@@ -18,5 +17,4 @@ __all__ = [
     "dec_spc_weighted",
     "decrease_weight",
     "increase_weight",
-    "DynamicWeightedSPC",
 ]

@@ -7,8 +7,9 @@ The paper's update experiments draw from four workload shapes:
 * **hybrid streams** — 100 insertions mixed with 10 deletions (§4.4);
 * **degree-skewed** updates — edges picked by deg(u)·deg(v) buckets (§4.5).
 
-Updates are small objects with an ``apply(dynamic)`` method so streams can
-be replayed against any oracle exposing the DynamicSPC mutation API.
+Updates are small objects with an ``apply(engine)`` method so streams can
+be replayed against any oracle exposing the :class:`~repro.engine.SPCEngine`
+mutation API.
 
 The generators are weight-aware: when the target graph is weighted (it
 exposes ``set_weight``), insertions carry a sampled weight, deletions
@@ -47,11 +48,11 @@ class InsertEdge:
     v: int
     weight: float = None
 
-    def apply(self, dynamic):
+    def apply(self, engine):
         """Apply to an SPCEngine-like oracle."""
         if self.weight is None:
-            return dynamic.insert_edge(self.u, self.v)
-        return dynamic.insert_edge(self.u, self.v, self.weight)
+            return engine.insert_edge(self.u, self.v)
+        return engine.insert_edge(self.u, self.v, self.weight)
 
     def undo(self):
         """The inverse update (carries the weight so undo round-trips)."""
@@ -75,9 +76,9 @@ class DeleteEdge:
     v: int
     weight: float = None
 
-    def apply(self, dynamic):
+    def apply(self, engine):
         """Apply to an SPCEngine-like oracle."""
-        return dynamic.delete_edge(self.u, self.v)
+        return engine.delete_edge(self.u, self.v)
 
     def undo(self):
         """The inverse update (carries the weight when one was recorded)."""
@@ -96,9 +97,9 @@ class SetWeight:
     v: int
     weight: float
 
-    def apply(self, dynamic):
+    def apply(self, engine):
         """Apply to an SPCEngine-like oracle."""
-        return dynamic.set_weight(self.u, self.v, self.weight)
+        return engine.set_weight(self.u, self.v, self.weight)
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,9 @@ class InsertVertex:
     v: int
     edges: tuple = ()
 
-    def apply(self, dynamic):
-        """Apply to a DynamicSPC-like oracle."""
-        return dynamic.insert_vertex(self.v, edges=self.edges)
+    def apply(self, engine):
+        """Apply to an SPCEngine-like oracle."""
+        return engine.insert_vertex(self.v, edges=self.edges)
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,9 @@ class DeleteVertex:
 
     v: int
 
-    def apply(self, dynamic):
-        """Apply to a DynamicSPC-like oracle."""
-        return dynamic.delete_vertex(self.v)
+    def apply(self, engine):
+        """Apply to an SPCEngine-like oracle."""
+        return engine.delete_vertex(self.v)
 
 
 def random_insertions(graph, k, seed=0, max_tries_factor=200,
@@ -317,7 +318,7 @@ def skewed_deletions(graph, k, seed=0, bucket="high"):
 def vertex_churn(graph, inserts=10, deletes=10, seed=0, attach=3):
     """A vertex-level workload: new vertices with edges, plus removals.
 
-    Exercises the §3 vertex-insertion/deletion paths of the dynamic facade.
+    Exercises the §3 vertex-insertion/deletion paths of the engine.
     New vertex ids continue after the current maximum id.
     """
     rng = random.Random(seed)

@@ -4,7 +4,7 @@ import tempfile
 
 import pytest
 
-from repro.audit import AuditSampler, corrupt_snapshot_wrapper
+from repro.audit import AuditSampler, tamper_member
 from repro.cluster import SPCCluster
 from repro.engine import EngineConfig, SPCEngine
 from repro.graph.generators import erdos_renyi
@@ -132,8 +132,8 @@ class TestRouterTap:
         # The sampler must record what was *served*, not what is true —
         # otherwise the auditor would have nothing to catch.
         honest = cluster.router.query(0, 1)
-        for replica in cluster.replicas.values():
-            replica.set_snapshot_wrapper(corrupt_snapshot_wrapper("count"))
+        for replica in cluster.members.values():
+            tamper_member(replica, "count")
         tap = RecordingTap()
         cluster.router.set_answer_tap(tap)
         seen = set()

@@ -9,11 +9,10 @@ from repro.audit import (
     MODES,
     REFUSAL,
     CorruptingIndex,
-    CorruptingSnapshot,
     classify_divergence,
     corrupt_answer,
-    corrupt_snapshot_wrapper,
     tamper_backend,
+    tamper_member,
 )
 from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import AuditDivergenceError
@@ -57,35 +56,35 @@ class TestCorruptAnswer:
             corrupt_answer((3, 2), "bogus")
 
 
-class FakeSnapshot:
-    seq = 12
-    epoch = 4
-    backend_name = "core"
+class FakeMember:
+    name = "replica-1"
+    applied_seq = 12
+    healthy = True
 
-    def query(self, s, t):
+    def partial(self, s, t, view):
         return (2, 3)
 
-    def query_many(self, pairs):
-        return [(2, 3) for _ in pairs]
 
-
-class TestCorruptingSnapshot:
+class TestTamperMember:
     def test_read_path_lies_coordinates_do_not(self):
-        snap = CorruptingSnapshot(FakeSnapshot(), "count")
-        assert snap.query(0, 1) == (2, 4)
-        assert snap.query_many([(0, 1), (1, 2)]) == [(2, 4), (2, 4)]
-        assert (snap.seq, snap.epoch, snap.backend_name) == (12, 4, "core")
+        member = FakeMember()
+        tamper_member(member, "count")
+        assert member.partial(0, 1, None) == (2, 4)
+        assert [member.partial(s, t, None) for s, t in [(0, 1), (1, 2)]] \
+            == [(2, 4), (2, 4)]
+        assert (member.name, member.applied_seq, member.healthy) == (
+            "replica-1", 12, True)
 
-    def test_wrapper_factory(self):
-        wrapper = corrupt_snapshot_wrapper("dist")
-        snap = wrapper(FakeSnapshot())
-        assert snap.query(0, 1) == (3, 3)
+    def test_undo_restores_the_honest_probe(self):
+        member = FakeMember()
+        restore = tamper_member(member, "dist")
+        assert member.partial(0, 1, None) == (3, 3)
+        restore()
+        assert member.partial(0, 1, None) == (2, 3)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(AuditDivergenceError):
-            CorruptingSnapshot(FakeSnapshot(), "bogus")
-        with pytest.raises(AuditDivergenceError):
-            corrupt_snapshot_wrapper("bogus")
+            tamper_member(FakeMember(), "bogus")
 
 
 class TestTamperBackend:

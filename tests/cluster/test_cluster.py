@@ -2,8 +2,8 @@
 
 The stress test at the bottom is the acceptance bar of the subsystem: on
 every backend family, kill a replica mid-stream, crash-recover it from
-checkpoint + WAL tail, require it to converge to the primary's seq, and
-audit *every* answer any replica ever served against progressive WAL
+checkpoint + journal tail, require it to converge to the primary's seq,
+and audit *every* answer any replica ever served against progressive WAL
 replay at that answer's claimed seq.
 """
 
@@ -13,7 +13,7 @@ from repro.cluster import ClusterConfig, SPCCluster, cluster, run_cluster_loadge
 from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import ClusterError
 from repro.graph.generators import erdos_renyi, random_directed, random_weighted
-from repro.workloads import random_insertions
+from repro.workloads import hybrid_stream, random_insertions
 
 _GRAPH_MAKERS = {
     "core": erdos_renyi,
@@ -31,6 +31,12 @@ def _cluster(tmp_path, backend="core", n=40, m=90, seed=3, **overrides):
     return SPCCluster(engine, str(tmp_path), **overrides)
 
 
+def _answers(member, pairs):
+    """One member's own answers, read from its freshest published view."""
+    view = member.view_at(member.latest_seq)
+    return [member.partial(s, t, view) for s, t in pairs]
+
+
 class TestClusterBasics:
     def test_replicas_answer_like_the_primary_after_sync(self, tmp_path):
         with _cluster(tmp_path, replicas=2) as c:
@@ -40,8 +46,8 @@ class TestClusterBasics:
             assert seq == c.primary.applied_seq
             pairs = [(u.u, u.v) for u in insertions]
             expected = c.primary.query_many(pairs)
-            for replica in c.replicas.values():
-                assert replica.query_many(pairs) == expected
+            for replica in c.members.values():
+                assert _answers(replica, pairs) == expected
                 assert replica.applied_seq == seq
 
     def test_routed_reads_spread_across_replicas(self, tmp_path):
@@ -49,7 +55,7 @@ class TestClusterBasics:
             c.sync()
             for _ in range(10):
                 c.query(0, 1)
-            routed = c.router.stats()["routed"]
+            routed = c.router.stats()["leases"]
             assert all(count > 0 for count in routed.values())
 
     def test_session_read_your_writes(self, tmp_path):
@@ -73,18 +79,18 @@ class TestClusterBasics:
             insertions = random_insertions(c.primary.engine.graph, 12, seed=4)
             c.submit_many(insertions[:6])
             c.sync()
-            c.kill_replica("replica-0")
-            assert not c.replicas["replica-0"].healthy
+            c.kill("replica-0")
+            assert not c.members["replica-0"].healthy
             for _ in range(8):  # reads keep flowing during the outage
                 c.query(0, 1)
-            assert c.router.stats()["routed"]["replica-0"] == 0
+            assert c.router.stats()["leases"]["replica-0"] == 0
             c.submit_many(insertions[6:])
             c.flush()
-            replica = c.restart_replica("replica-0")
+            replica = c.restart("replica-0")
             assert replica.catch_up(c.primary.applied_seq, timeout=10.0)
             seq = c.sync()
             pairs = [(u.u, u.v) for u in insertions]
-            assert replica.query_many(pairs) == c.primary.query_many(pairs)
+            assert _answers(replica, pairs) == c.primary.query_many(pairs)
             assert replica.applied_seq == seq
 
     def test_cluster_survives_primary_compaction(self, tmp_path):
@@ -97,33 +103,18 @@ class TestClusterBasics:
             seq = c.sync()
             pairs = [(u.u, u.v) for u in insertions]
             expected = c.primary.query_many(pairs)
-            for replica in c.replicas.values():
-                assert replica.query_many(pairs) == expected
+            for replica in c.members.values():
+                assert _answers(replica, pairs) == expected
                 assert replica.applied_seq == seq
-
-    def test_mixed_family_fleet(self, tmp_path):
-        with _cluster(tmp_path, replicas=2,
-                      replica_backends=(None, "sd")) as c:
-            insertions = random_insertions(c.primary.engine.graph, 8, seed=6)
-            c.submit_many(insertions)
-            c.sync()
-            assert c.replicas["replica-0"].backend_name == "core"
-            assert c.replicas["replica-1"].backend_name == "sd"
-            s, t = insertions[0].u, insertions[0].v
-            sd, spc = c.primary.query(s, t)
-            assert c.replicas["replica-0"].query(s, t) == (sd, spc)
-            assert c.replicas["replica-1"].query(s, t) == (sd, None)
 
     def test_unknown_replica_name_raises(self, tmp_path):
         with _cluster(tmp_path, replicas=1) as c:
-            with pytest.raises(ClusterError, match="no replica named"):
-                c.kill_replica("replica-9")
+            with pytest.raises(ClusterError, match="no member named"):
+                c.kill("replica-9")
 
     def test_config_validation(self):
         with pytest.raises(ClusterError, match="at least one replica"):
             ClusterConfig(replicas=0)
-        with pytest.raises(ClusterError, match="replica_backends"):
-            ClusterConfig(replicas=2, replica_backends=("sd",))
 
     def test_convenience_constructor_accepts_graphs(self, tmp_path):
         graph = erdos_renyi(30, 60, seed=7)
@@ -136,6 +127,37 @@ class TestClusterBasics:
         c = _cluster(tmp_path, replicas=1)
         c.close()
         c.close()
+
+
+class TestFollowerEquivalence:
+    """Replicas copy the primary's post-batch labels from the journal and
+    never re-run maintenance, so at any seq they hold exactly its labels."""
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_members_hold_the_primary_labels_across_compaction(
+            self, tmp_path, backend):
+        with _cluster(tmp_path, backend=backend, replicas=2) as c:
+            stream = hybrid_stream(c.primary.engine.graph, insertions=12,
+                                   deletions=4, seed=5)
+            half = len(stream) // 2
+            for update in stream[:half]:
+                c.submit(update)
+            assert c.check_invariants()
+            c.checkpoint(truncate_wal=True)
+            for update in stream[half:]:
+                c.submit(update)
+            assert c.check_invariants()
+            pairs = [(s, t) for s in range(0, 40, 4) for t in range(1, 40, 6)]
+            for replica in c.members.values():
+                assert _answers(replica, pairs) == c.primary.query_many(pairs)
+
+    def test_a_diverged_member_is_reported(self, tmp_path, monkeypatch):
+        with _cluster(tmp_path, replicas=1) as c:
+            c.sync()
+            monkeypatch.setattr(c.members["replica-0"], "view_at",
+                                lambda seq: {})
+            with pytest.raises(ClusterError, match="diverged"):
+                c.check_invariants()
 
 
 class TestFaultInjectionStress:

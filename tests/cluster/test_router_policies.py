@@ -1,9 +1,9 @@
 """Router policy properties: staleness bounds, floors, rotation, load.
 
-The property tests drive :class:`ClusterRouter` over fake fleet members
-with arbitrary applied/published sequence numbers — hypothesis explores
-lagging replicas, dead replicas, and primaries whose published snapshot
-trails their applied seq — and pin the two routing guarantees:
+The property tests drive :class:`FleetRouter` over a fake full slice of
+members with arbitrary applied/published sequence numbers — hypothesis
+explores lagging replicas, dead replicas, and primaries whose published
+snapshot trails their applied seq — and pin the two routing guarantees:
 
 * **bounded staleness** — an acquired snapshot never has
   ``seq < primary_applied_seq - delta`` (the Δ contract of the policy);
@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.router import POLICIES, ClusterRouter
 from repro.exceptions import ClusterError
 from repro.serve.snapshot import SnapshotView
+from repro.shard.router import POLICIES, FleetRouter
 
 
 class _FakeIndex:
@@ -30,8 +30,9 @@ def _snap(seq):
 
 
 class FakeTarget:
-    """Stands in for a Replica (or the primary service): a pinned
-    snapshot at ``snap_seq``, an applied seq, and a health flag."""
+    """Stands in for the primary service (a pinned snapshot at
+    ``snap_seq`` and an applied seq) or for a full-slice member (one
+    published view at ``snap_seq``) — with a health flag."""
 
     def __init__(self, name, applied_seq, snap_seq=None, healthy=True):
         self.name = name
@@ -42,10 +43,25 @@ class FakeTarget:
     def snapshot(self):
         return self._snap
 
+    @property
+    def latest_seq(self):
+        return self._snap.seq
+
+    min_seq = latest_seq
+
+    def view_at(self, seq):
+        return self._snap if seq == self._snap.seq else None
+
+    def partial(self, s, t, view):
+        return view.query(s, t)
+
+    def stats(self):
+        return {"name": self.name}
+
 
 def _router(primary, replicas, policy, delta=0, wait_timeout=0.02):
-    return ClusterRouter(
-        primary, replicas, policy=policy, staleness_delta=delta,
+    return FleetRouter(
+        primary, [replicas], policy=policy, staleness_delta=delta,
         wait_timeout=wait_timeout,
     )
 
@@ -81,14 +97,14 @@ class TestBoundedStalenessProperty:
         router = _router(primary, replicas, "bounded_staleness", delta=delta)
         try:
             with router.acquire() as lease:
-                assert lease.snapshot.seq >= primary_seq - delta
+                assert lease.seq >= primary_seq - delta
         except ClusterError:
             # Refusal is always allowed; serving stale never is.  Refusal
             # must also be *honest*: it may only happen when no healthy
             # target (primary included) was actually fresh enough.
             eligible = [
                 r for r in replicas
-                if r.healthy and r.snapshot().seq >= primary_seq - delta
+                if r.healthy and r.latest_seq >= primary_seq - delta
             ]
             assert not eligible
             assert primary.snapshot().seq < primary_seq - delta
@@ -112,8 +128,8 @@ class TestBoundedStalenessProperty:
         router = _router(primary, replicas, "bounded_staleness", delta=delta)
         try:
             with router.acquire(min_seq=min_seq) as lease:
-                assert lease.snapshot.seq >= min_seq
-                assert lease.snapshot.seq >= primary_seq - delta
+                assert lease.seq >= min_seq
+                assert lease.seq >= primary_seq - delta
         except ClusterError:
             pass  # refusal is fine; a stale answer is not
 
@@ -132,7 +148,7 @@ class TestBoundedStalenessProperty:
         router = _router(primary, replicas, policy, delta=100)
         try:
             with router.acquire(min_seq=min_seq) as lease:
-                assert lease.snapshot.seq >= min_seq
+                assert lease.seq >= min_seq
         except ClusterError:
             pass
 
@@ -190,6 +206,13 @@ class TestSelection:
         )
         with pytest.raises(ClusterError, match="lagging"):
             router.acquire()
+        # An empty batch needs no cut: it answers [] even while every
+        # acquire would refuse, and neither leases nor taps anything.
+        taps = []
+        router.set_answer_tap(lambda *args: taps.append(args))
+        leases = router.stats()["leases"]
+        assert router.query_many([]) == []
+        assert taps == [] and router.stats()["leases"] == leases
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ClusterError, match="unknown routing policy"):
@@ -197,14 +220,14 @@ class TestSelection:
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ClusterError, match="staleness_delta"):
-            ClusterRouter(FakeTarget("primary", 0), [], staleness_delta=-1)
+            FleetRouter(FakeTarget("primary", 0), [[]], staleness_delta=-1)
 
     def test_set_replica_swaps_handle(self):
         primary = FakeTarget("primary", 5)
         dead = FakeTarget("r0", 5, healthy=False)
         router = _router(primary, [dead], "round_robin")
         assert router.acquire().name == "primary"
-        router.set_replica("r0", FakeTarget("r0", 5))
+        router.set_member("r0", FakeTarget("r0", 5))
         assert router.acquire().name == "r0"
-        with pytest.raises(ClusterError, match="knows no replica"):
-            router.set_replica("r9", FakeTarget("r9", 5))
+        with pytest.raises(ClusterError, match="knows no member"):
+            router.set_member("r9", FakeTarget("r9", 5))

@@ -1,4 +1,4 @@
-"""Replica-aware batch planning in ClusterRouter.query_many."""
+"""Replica-aware batch planning in FleetRouter.query_many."""
 
 import random
 
@@ -38,14 +38,14 @@ class TestQueryManySplit:
     def test_large_batch_spreads_over_replicas(self, fleet):
         c, _engine = fleet
         c.router.query_many(some_pairs(300))
-        routed = c.router.stats()["routed"]
+        routed = c.router.stats()["leases"]
         assert sum(1 for n in routed.values() if n > 0) >= 2
 
     def test_small_batch_stays_single_lease(self, fleet):
         c, _engine = fleet
-        before = c.router.stats()["routed"]
+        before = c.router.stats()["leases"]
         c.router.query_many(some_pairs(5))
-        after = c.router.stats()["routed"]
+        after = c.router.stats()["leases"]
         leases = sum(after.values()) - sum(before.values())
         assert leases <= 1  # primary fallback would show 0 here
 

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+import repro
 from repro.directed import (
-    DynamicDirectedSPC,
     build_directed_spc_index,
     dec_spc_directed,
     inc_spc_directed,
@@ -97,15 +97,15 @@ class TestDirectedDecremental:
 class TestDirectedFacade:
     def test_docstring_example(self):
         g = DiGraph.from_edges([(0, 1), (1, 2)])
-        dyn = DynamicDirectedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         assert dyn.query(0, 2) == (2, 1)
         dyn.insert_edge(0, 2)
         assert dyn.query(0, 2) == (1, 1)
 
     def test_vertex_lifecycle(self):
         g = DiGraph.from_edges([(0, 1)])
-        dyn = DynamicDirectedSPC(g)
-        dyn.insert_vertex(5, out_edges=[0], in_edges=[1])
+        dyn = repro.open(g, cache_size=0)
+        dyn.insert_vertex(5, edges=[0], in_edges=[1])
         assert dyn.query(5, 1) == (2, 1)
         assert dyn.query(0, 5) == (2, 1)
         dyn.delete_vertex(5)
@@ -114,7 +114,7 @@ class TestDirectedFacade:
 
     def test_history_and_rebuild(self):
         g = DiGraph.from_edges([(0, 1), (1, 2)])
-        dyn = DynamicDirectedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         dyn.insert_edge(2, 0)
         dyn.delete_edge(2, 0)
         assert dyn.history.updates == 2
@@ -124,7 +124,7 @@ class TestDirectedFacade:
     def test_mixed_random_updates(self):
         rng = random.Random(9)
         g = random_directed(12, 25, seed=9)
-        dyn = DynamicDirectedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         for step in range(20):
             if step % 2 == 0:
                 while True:

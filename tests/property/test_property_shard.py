@@ -105,14 +105,14 @@ class TestShardedClusterProperty:
                 engine, d, shards=shards, partitioner=strategy,
             ) as sc:
                 sc.sync()
-                sc.kill_shard(victim)
+                sc.kill(f"shard-{victim}")
                 # down => refusal, never a wrong merged answer
                 vs = sorted(engine.graph.vertices())
                 with pytest.raises(ShardError):
                     sc.query(vs[0], vs[-1])
                 for update in _insertions(graph.copy(), backend, picks):
                     sc.submit(update)  # writes keep flowing while down
-                sc.restart_shard(victim)
+                sc.restart(f"shard-{victim}")
                 sc.sync()
                 assert_cluster_matches_engine(sc, engine)
 

@@ -1,7 +1,7 @@
-"""Mid-record corruption in the replication streams, end to end.
+"""Mid-record corruption in the replication stream, end to end.
 
-Satellite of the chaos harness: an interior bit flip in the WAL (replica
-feed) or the label journal (shard feed) must surface as the typed
+Satellite of the chaos harness: an interior bit flip in the label journal
+(the feed of every fleet member, replica or shard) must surface as the typed
 :class:`~repro.exceptions.WalCorruptionError` — counted in
 ``stream_corruptions``, killing the follower rather than letting it
 apply damaged records — and stay poisoned across re-bootstraps until the
@@ -37,18 +37,18 @@ class TestReplicaWalCorruption:
                              stall_budget=2)
         try:
             _grow(cluster)
-            name = sorted(cluster.replicas)[0]
+            name = sorted(cluster.members)[0]
             flip_bit_in_record(
-                os.path.join(str(tmp_path), "wal.jsonl"), seed=17
+                os.path.join(str(tmp_path), "labels.jsonl"), seed=17
             )
-            cluster.kill_replica(name)
-            cluster.restart_replica(name)
-            # The replacement replays the poisoned WAL from the seq-0
+            cluster.kill(name)
+            cluster.restart(name)
+            # The replacement replays the poisoned journal from the seq-0
             # checkpoint: every record is re-verified, the flip fails
             # its stamp (or its parse) as a *typed* corruption — counted,
             # never applied — and the stall budget converts the
             # unfillable gap into a fatal death.
-            replica = cluster.replicas[name]
+            replica = cluster.members[name]
             assert await_true(lambda: not replica.healthy)
             assert replica.stream_corruptions >= 1
             assert isinstance(replica.fatal, ClusterError)
@@ -63,18 +63,18 @@ class TestReplicaWalCorruption:
         with SPCCluster(engine, str(tmp_path), replicas=1,
                         stall_budget=2) as cluster:
             seq = _grow(cluster)
-            name = sorted(cluster.replicas)[0]
+            name = sorted(cluster.members)[0]
             flip_bit_in_record(
-                os.path.join(str(tmp_path), "wal.jsonl"), seed=17
+                os.path.join(str(tmp_path), "labels.jsonl"), seed=17
             )
-            cluster.kill_replica(name)
-            cluster.restart_replica(name)
-            assert await_true(lambda: not cluster.replicas[name].healthy)
+            cluster.kill(name)
+            cluster.restart(name)
+            assert await_true(lambda: not cluster.members[name].healthy)
             # The supervisor's repair, by hand: a fresh checkpoint
-            # subsumes the poisoned records and truncates the WAL.
+            # subsumes the poisoned records and truncates the logs.
             cluster.checkpoint(truncate_wal=True)
-            cluster.restart_replica(name)
-            replica = cluster.replicas[name]
+            cluster.restart(name)
+            replica = cluster.members[name]
             assert await_true(
                 lambda: replica.healthy and replica.applied_seq >= seq
             )
@@ -91,9 +91,9 @@ class TestShardJournalCorruption:
             flip_bit_in_record(
                 os.path.join(str(tmp_path), "labels.jsonl"), seed=17
             )
-            fleet.kill_shard(0)
-            fleet.restart_shard(0)
-            shard = fleet.shards[0]
+            fleet.kill("shard-0")
+            fleet.restart("shard-0")
+            shard = fleet.members["shard-0"]
             assert await_true(lambda: not shard.healthy)
             assert shard.stream_corruptions >= 1
             assert isinstance(shard.fatal, ShardError)
@@ -109,12 +109,12 @@ class TestShardJournalCorruption:
             flip_bit_in_record(
                 os.path.join(str(tmp_path), "labels.jsonl"), seed=17
             )
-            fleet.kill_shard(0)
-            fleet.restart_shard(0)
-            assert await_true(lambda: not fleet.shards[0].healthy)
+            fleet.kill("shard-0")
+            fleet.restart("shard-0")
+            assert await_true(lambda: not fleet.members["shard-0"].healthy)
             fleet.checkpoint(truncate_wal=True)
-            fleet.restart_shard(0)
-            shard = fleet.shards[0]
+            fleet.restart("shard-0")
+            shard = fleet.members["shard-0"]
             assert await_true(
                 lambda: shard.healthy and shard.applied_seq >= seq
             )

@@ -29,8 +29,8 @@ class TestClusterFailover:
         with SPCCluster(engine, str(tmp_path), replicas=2,
                         wait_timeout=0.2) as cluster:
             _grow(cluster)
-            for name in list(cluster.replicas):
-                cluster.kill_replica(name)
+            for name in list(cluster.members):
+                cluster.kill(name)
             # No replica qualifies; the router's last resort is the
             # primary's own snapshot — fresh, never degraded.
             answer, _seq, target = cluster.query_tagged(0, 1)
@@ -56,7 +56,7 @@ class TestShardRefusalAndDegradation:
         with ShardedCluster(engine, str(tmp_path), shards=3,
                             wait_timeout=0.1) as fleet:
             _grow(fleet)
-            fleet.kill_shard(0)
+            fleet.kill("shard-0")
             with pytest.raises(ShardError, match="down"):
                 fleet.query(0, 1)
             assert fleet.router.stats()["refusals"] >= 1
@@ -67,7 +67,7 @@ class TestShardRefusalAndDegradation:
                             wait_timeout=0.1, breaker_threshold=2,
                             breaker_cooldown=30.0) as fleet:
             _grow(fleet)
-            fleet.kill_shard(0)
+            fleet.kill("shard-0")
             for _ in range(3):
                 with pytest.raises(ShardError):
                     fleet.query(0, 1)
@@ -88,14 +88,14 @@ class TestShardRefusalAndDegradation:
                             wait_timeout=0.5, breaker_threshold=2,
                             breaker_cooldown=30.0) as fleet:
             seq = _grow(fleet)
-            fleet.kill_shard(0)
+            fleet.kill("shard-0")
             for _ in range(3):
                 with pytest.raises(ShardError):
                     fleet.query(0, 1)
-            fleet.restart_shard(0)
+            fleet.restart("shard-0")
             assert await_true(
-                lambda: fleet.shards[0].healthy
-                and fleet.shards[0].applied_seq >= seq
+                lambda: fleet.members["shard-0"].healthy
+                and fleet.members["shard-0"].applied_seq >= seq
             )
             # No 30 s cooldown to sit out: the restart reset the breaker.
             assert fleet.query(0, 1) == fleet.primary.query(0, 1)
@@ -107,7 +107,7 @@ class TestShardRefusalAndDegradation:
                             degraded_max_lag=256, ring_size=256) as fleet:
             seq = _grow(fleet)
             fleet.sync()
-            fleet.kill_shard(0)
+            fleet.kill("shard-0")
             # The dead slice still holds its published ring views, so a
             # floorless read degrades to the newest common historical
             # cut — tagged, with the cut's true seq.
@@ -122,7 +122,7 @@ class TestShardRefusalAndDegradation:
                             wait_timeout=0.1, degraded="stale",
                             degraded_max_lag=2, ring_size=64) as fleet:
             _grow(fleet, batches=4, seed=7)
-            fleet.kill_shard(0)
+            fleet.kill("shard-0")
             # Advance the survivors far past the bound: the writer
             # coalesces everything pending into one seq per flush, so it
             # takes several flush rounds for the dead slice's frozen
@@ -136,7 +136,7 @@ class TestShardRefusalAndDegradation:
             assert await_true(
                 lambda: all(
                     s.applied_seq >= seq
-                    for s in fleet.shards.values() if s.healthy
+                    for s in fleet.members.values() if s.healthy
                 )
             )
             with pytest.raises(ShardError):

@@ -44,8 +44,8 @@ class TestReplicaFailedJoin:
         cluster = SPCCluster(engine, str(tmp_path), replicas=1)
         try:
             _grow(cluster)
-            name = sorted(cluster.replicas)[0]
-            replica = cluster.replicas[name]
+            name = sorted(cluster.members)[0]
+            replica = cluster.members[name]
             replica._thread = WedgedThread(replica._thread)
             with pytest.warns(RuntimeWarning, match="failed to stop"):
                 replica.kill()
@@ -62,8 +62,8 @@ class TestReplicaFailedJoin:
         cluster = SPCCluster(engine, str(tmp_path), replicas=1)
         try:
             _grow(cluster)
-            name = sorted(cluster.replicas)[0]
-            replica = cluster.replicas[name]
+            name = sorted(cluster.members)[0]
+            replica = cluster.members[name]
             first = ClusterError("original cause of death")
             replica._fatal = first
             replica._thread = WedgedThread(replica._thread)
@@ -83,7 +83,7 @@ class TestShardFailedJoin:
         fleet = ShardedCluster(engine, str(tmp_path), shards=2)
         try:
             _grow(fleet)
-            shard = fleet.shards[0]
+            shard = fleet.members["shard-0"]
             shard._thread = WedgedThread(shard._thread)
             with pytest.warns(RuntimeWarning, match="failed to stop"):
                 shard.kill()

@@ -33,11 +33,11 @@ class TestAutoRestart:
                         stall_budget=2) as cluster:
             seq = _grow(cluster)
             with Supervisor(cluster, **FAST) as sup:
-                victim = sorted(cluster.replicas)[0]
-                cluster.kill_replica(victim)
+                victim = sorted(cluster.members)[0]
+                cluster.kill(victim)
                 assert await_true(
-                    lambda: cluster.replicas[victim].healthy
-                    and cluster.replicas[victim].applied_seq >= seq
+                    lambda: cluster.members[victim].healthy
+                    and cluster.members[victim].applied_seq >= seq
                 )
                 assert await_true(
                     lambda: sup.monitor.state(victim) == "up"
@@ -55,18 +55,17 @@ class TestAutoRestart:
                             stall_budget=2) as fleet:
             _grow(fleet)
             with Supervisor(fleet, **FAST) as sup:
-                fleet.kill_shard(0)
-                victim = fleet.shards[0].name
-                assert await_true(lambda: fleet.shards[0].healthy)
+                fleet.kill("shard-0")
+                victim = fleet.members["shard-0"].name
+                assert await_true(lambda: fleet.members["shard-0"].healthy)
                 assert await_true(lambda: sup.monitor.state(victim) == "up")
-                assert sup.kind == "shard"
 
     def test_transition_log_tells_the_story(self, engine, tmp_path, await_true):
         with SPCCluster(engine, str(tmp_path), replicas=1) as cluster:
             _grow(cluster)
             with Supervisor(cluster, **FAST) as sup:
-                victim = sorted(cluster.replicas)[0]
-                cluster.kill_replica(victim)
+                victim = sorted(cluster.members)[0]
+                cluster.kill(victim)
                 # Wait for detection first — the member starts "up", so
                 # polling for "up" alone would pass before the kill is
                 # even observed.
@@ -90,16 +89,16 @@ class TestCrashLoopBudget:
         with SPCCluster(engine, str(tmp_path), replicas=2,
                         stall_budget=2) as cluster:
             _grow(cluster)
-            victim = sorted(cluster.replicas)[0]
-            survivor = sorted(cluster.replicas)[1]
+            victim = sorted(cluster.members)[0]
+            survivor = sorted(cluster.members)[1]
             with Supervisor(cluster, **dict(FAST, restart_budget=3)) as sup:
                 # Re-kill the victim every time the supervisor revives it.
                 def failed():
                     if sup.monitor.state(victim) == "failed":
                         return True
-                    replica = cluster.replicas.get(victim)
+                    replica = cluster.members.get(victim)
                     if replica is not None and replica.healthy:
-                        cluster.kill_replica(victim)
+                        cluster.kill(victim)
                     return False
 
                 assert await_true(failed, timeout=15.0)
@@ -109,21 +108,21 @@ class TestCrashLoopBudget:
                 assert incidents and incidents[-1].failed
                 assert incidents[-1].mttr_s is None
                 # The survivor is untouched and the fleet still serves.
-                assert cluster.replicas[survivor].healthy
+                assert cluster.members[survivor].healthy
                 assert cluster.query(0, 1) is not None
 
     def test_failed_is_terminal_for_the_supervisor(self, engine, tmp_path, await_true):
         with SPCCluster(engine, str(tmp_path), replicas=1,
                         stall_budget=2) as cluster:
             _grow(cluster)
-            victim = sorted(cluster.replicas)[0]
+            victim = sorted(cluster.members)[0]
             with Supervisor(cluster, **dict(FAST, restart_budget=2)) as sup:
                 def failed():
                     if sup.monitor.state(victim) == "failed":
                         return True
-                    replica = cluster.replicas.get(victim)
+                    replica = cluster.members.get(victim)
                     if replica is not None and replica.healthy:
-                        cluster.kill_replica(victim)
+                        cluster.kill(victim)
                     return False
 
                 assert await_true(failed, timeout=15.0)
@@ -139,14 +138,14 @@ class TestCorruptionRepair:
         with SPCCluster(engine, str(tmp_path), replicas=2,
                         stall_budget=2) as cluster:
             _grow(cluster)
-            wal = os.path.join(str(tmp_path), "wal.jsonl")
-            flip_bit_in_record(wal, seed=17)
+            journal = os.path.join(str(tmp_path), "labels.jsonl")
+            flip_bit_in_record(journal, seed=17)
             with Supervisor(cluster, **FAST) as sup:
-                victim = sorted(cluster.replicas)[0]
-                cluster.kill_replica(victim)
+                victim = sorted(cluster.members)[0]
+                cluster.kill(victim)
                 # The replacement dies on the poisoned stream, the
                 # supervisor classifies the typed corruption and repairs
-                # (fresh checkpoint + truncated WAL), and the next
+                # (fresh checkpoint + truncated logs), and the next
                 # restart sticks.
                 assert await_true(
                     lambda: sup.monitor.state(victim) != "up"
@@ -157,14 +156,16 @@ class TestCorruptionRepair:
                 assert await_true(
                     lambda: sup.monitor.state(victim) == "up", timeout=15.0
                 )
-                # The repair rewrote the stream: replay is clean again.
-                from repro.serve.wal import read_wal
-                list(read_wal(wal))
+                # The repair rewrote the stream: a scan is clean again.
+                from repro.serve.wal import WalTailer
+                tailer = WalTailer(journal, after_seq=1 << 62)
+                tailer.poll()
+                assert tailer.last_corruption is None
 
 
 class TestConfigAndStats:
     def test_unsupervisable_fleet_rejected(self):
-        with pytest.raises(ReproError, match="neither"):
+        with pytest.raises(ReproError, match="not a serving fleet"):
             Supervisor(object())
 
     def test_config_validation(self):

@@ -60,8 +60,10 @@ class TestConfigValidation:
             c.sync()
             assert c.primary.stats()["wal_compactions"] >= 2
             pairs = [(u.u, u.v) for u in insertions]
-            replica = c.replicas["replica-0"]
-            assert replica.query_many(pairs) == c.primary.query_many(pairs)
+            replica = c.members["replica-0"]
+            view = replica.view_at(replica.latest_seq)
+            assert [replica.partial(s, t, view) for s, t in pairs] == \
+                c.primary.query_many(pairs)
 
 
 class TestEveryKBatches:

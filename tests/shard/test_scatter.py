@@ -1,4 +1,4 @@
-"""Batch planner + ShardRouter: cuts, merges, taps and refusal semantics."""
+"""Batch planner + FleetRouter over shards: cuts, merges, taps, refusals."""
 
 import pytest
 
@@ -108,7 +108,7 @@ class TestShardRouter:
     def test_dead_shard_refuses_not_wrong(self, sharded):
         sc, _engine = sharded
         sc.sync()
-        sc.kill_shard(1)
+        sc.kill("shard-1")
         with pytest.raises(ShardError, match="refusing"):
             sc.query(0, 5)
         stats = sc.router.stats()
@@ -116,8 +116,8 @@ class TestShardRouter:
 
     def test_restart_recovers_service(self, sharded):
         sc, engine = sharded
-        sc.kill_shard(1)
-        sc.restart_shard(1)
+        sc.kill("shard-1")
+        sc.restart("shard-1")
         sc.sync()
         assert sc.query(0, 5) == engine.query(0, 5)
 

@@ -103,7 +103,7 @@ class TestShardedCluster:
         shards = 4
         with ShardedCluster(engine, str(tmp_path), shards=shards) as sc:
             sc.sync()
-            stats = sc.router.stats()["shards"]
+            stats = sc.router.stats()["members"]
             total = sum(s["entries"] for s in stats)
             bound = (1 + 0.35) / shards
             for s in stats:
@@ -114,19 +114,19 @@ class TestShardedCluster:
         engine = repro.open(g)
         with ShardedCluster(engine, str(tmp_path), shards=2) as sc:
             sc.sync()
-            sc.kill_shard(0)
+            sc.kill("shard-0")
             with pytest.raises(ShardError):
                 sc.query(0, 5)
             sc.submit(InsertEdge(0, 11))  # writes keep flowing while down
-            sc.restart_shard(0)
+            sc.restart("shard-0")
             sc.sync()
             assert sc.query(0, 11) == engine.query(0, 11)
 
     def test_unknown_shard_id(self, tmp_path):
         g = erdos_renyi(8, 12, seed=0)
         with ShardedCluster(repro.open(g), str(tmp_path), shards=2) as sc:
-            with pytest.raises(ShardError, match="no shard with id"):
-                sc.kill_shard(5)
+            with pytest.raises(ShardError, match="no member named"):
+                sc.kill("shard-5")
 
     def test_shard_cluster_convenience_accepts_graph(self, tmp_path):
         g = erdos_renyi(8, 14, seed=4)
@@ -139,7 +139,7 @@ class TestShardedCluster:
         with ShardedCluster(repro.open(g), str(tmp_path), shards=2) as sc:
             stats = sc.stats()
             assert set(stats) == {"primary", "partitioner", "router"}
-            assert len(stats["router"]["shards"]) == 2
+            assert len(stats["router"]["members"]) == 2
 
 
 QUICK = dict(

@@ -21,10 +21,8 @@ class TestPublicApi:
 
     def test_module_docstring_quickstart_is_true(self):
         # The usage example in the package docstring must actually work.
-        from repro import DynamicSPC, Graph
-
-        g = Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 2)])
-        dyn = DynamicSPC(g)
+        g = repro.Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 2)])
+        dyn = repro.open(g, cache_size=0)
         assert dyn.query(0, 2) == (2, 2)
         dyn.insert_edge(0, 2)
         dyn.delete_edge(0, 1)

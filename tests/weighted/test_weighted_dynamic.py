@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+import repro
 from repro.exceptions import EdgeNotFound, GraphError
 from repro.graph import WeightedGraph, random_weighted
 from repro.verify import verify_espc_weighted
 from repro.weighted import (
-    DynamicWeightedSPC,
     build_weighted_spc_index,
     dec_spc_weighted,
     decrease_weight,
@@ -159,20 +159,20 @@ class TestWeightedDecremental:
 class TestWeightedFacade:
     def test_docstring_example(self):
         g = WeightedGraph.from_edges([(0, 1, 2), (1, 2, 2), (0, 2, 5)])
-        dyn = DynamicWeightedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         assert dyn.query(0, 2) == (4, 1)
         dyn.set_weight(0, 2, 4)
         assert dyn.query(0, 2) == (4, 2)
 
     def test_set_weight_noop(self):
         g = WeightedGraph.from_edges([(0, 1, 2)])
-        dyn = DynamicWeightedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         stats = dyn.set_weight(0, 1, 2)
         assert stats.kind == "noop"
 
     def test_vertex_lifecycle(self):
         g = WeightedGraph.from_edges([(0, 1, 1)])
-        dyn = DynamicWeightedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         dyn.insert_vertex(5, edges=[(0, 2), (1, 2)])
         assert dyn.query(5, 1) == (2, 1)
         dyn.delete_vertex(5)
@@ -181,7 +181,7 @@ class TestWeightedFacade:
 
     def test_history_and_rebuild(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (1, 2, 1)])
-        dyn = DynamicWeightedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         dyn.insert_edge(0, 2, 3)
         dyn.delete_edge(0, 2)
         dyn.set_weight(0, 1, 4)
