@@ -12,7 +12,7 @@ these wrappers simulate it at the two seams the serving layer exposes:
   shadow baseline must bootstrap from *honest* state, or the audit would
   be comparing one lie to another).
 * :func:`tamper_backend` — for a single service: rebinds the engine
-  backend's ``snapshot_index`` hook so every *published* index copy is a
+  backend's ``snapshot_index`` hook so every *published* snapshot index is a
   corrupting proxy, while ``index_to_dict`` (the checkpoint path) keeps
   telling the truth.
 
@@ -98,11 +98,19 @@ def tamper_backend(backend, mode="count"):
     service keeps passing its own invariant checks while serving wrong
     answers, which is precisely the scenario the shadow auditor exists
     for.  Returns the undo callable that restores the honest hook.
+
+    The hook keeps the copy-on-write signature ``(base, dirty)``; after
+    the undo, the honest hook reads the previous proxy's labels through
+    its attribute delegation, so the next snapshot is honest again.
     """
     original = backend.snapshot_index
 
-    def corrupted_snapshot_index():
-        return CorruptingIndex(original(), mode)
+    def corrupted_snapshot_index(base=None, dirty=None):
+        # Copy-on-write publish passes the previous snapshot as ``base``:
+        # share the honest labels underneath, never the proxy.
+        if isinstance(base, CorruptingIndex):
+            base = base._inner
+        return CorruptingIndex(original(base, dirty), mode)
 
     backend.snapshot_index = corrupted_snapshot_index
 

@@ -23,7 +23,13 @@ The map is what turns "remove hub h from everyone who holds it" — the
 from O(n) scans into O(affected) lookups (DESIGN.md §9).
 """
 
-from repro.core.labels import ENTRY_BYTES, LabelSet, counting_probe
+from repro.core.labels import (
+    ENTRY_BYTES,
+    LabelSet,
+    counting_probe,
+    holders_of,
+    snapshot_labels,
+)
 from repro.exceptions import VertexNotFound
 from repro.order import VertexOrder
 
@@ -115,10 +121,15 @@ class SPCIndex:
         the hub): treat it as read-only, and copy before iterating if the
         loop body mutates label sets.
         """
-        return self._holders.get(hub_rank, _NO_HOLDERS)
+        return self.holders_map().get(hub_rank, _NO_HOLDERS)
 
     def holders_map(self):
-        """The internal {hub_rank: set(vertex_id)} reverse map (read-only)."""
+        """The internal {hub_rank: set(vertex_id)} reverse map (read-only).
+
+        A :meth:`snapshot` builds its map on the first call.
+        """
+        if self._holders is None:
+            self._holders = holders_of(self._labels)
         return self._holders
 
     # ------------------------------------------------------------------
@@ -281,6 +292,26 @@ class SPCIndex:
             dup.bind(clone._holders, v)
             clone._labels[v] = dup
         return clone
+
+    def snapshot(self, base=None, dirty=()):
+        """Return a read-only copy-on-write snapshot of this live index.
+
+        ``base`` is an earlier snapshot of this same index object (``None``
+        for a full copy) and ``dirty`` the vertices whose labels changed
+        since it was taken.  The snapshot shares every other vertex's
+        label set with ``base`` and copies the dirty ones, so it costs
+        O(n) pointer copies plus O(labels of dirty vertices).  Its reverse
+        hub map is built lazily by :meth:`holders_map`.  Never mutate a
+        snapshot: its label sets are shared with other snapshots.
+        """
+        snap = SPCIndex.__new__(SPCIndex)
+        snap._order = self._order.snapshot(None if base is None else base._order)
+        snap._labels = snapshot_labels(
+            self._labels, None if base is None else base._labels, dirty
+        )
+        snap._holders = None
+        snap._dirty = None
+        return snap
 
     def __repr__(self):
         return (

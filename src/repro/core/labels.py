@@ -225,6 +225,46 @@ class LabelSet:
         return f"LabelSet[{entries}]"
 
 
+def snapshot_labels(live, base, dirty, copy=LabelSet.copy):
+    """The per-vertex label map of a copy-on-write index snapshot.
+
+    ``live`` is the live index's {vertex: label object} map and ``base``
+    the same map of an earlier snapshot of that index (``None`` for a
+    full copy).  Every vertex outside ``dirty`` shares ``base``'s object
+    by reference; each ``dirty`` vertex gets a fresh ``copy`` of its live
+    object, or is dropped when the live index no longer holds it.
+    Snapshot label objects are never mutated, which is what makes the
+    sharing safe (DESIGN.md §10).
+    """
+    if base is None:
+        return {v: copy(x) for v, x in live.items()}
+    labels = dict(base)
+    for v in dirty:
+        x = live.get(v)
+        if x is None:
+            labels.pop(v, None)
+        else:
+            labels[v] = copy(x)
+    return labels
+
+
+def holders_of(label_sets):
+    """Recompute the {hub_rank: set(vertex)} reverse map of label sets.
+
+    Snapshots call this lazily, on the first ``holders`` lookup, instead
+    of maintaining the map on every publish.
+    """
+    holders = {}
+    for v, ls in label_sets.items():
+        for h in ls.hubs:
+            s = holders.get(h)
+            if s is None:
+                holders[h] = {v}
+            else:
+                s.add(v)
+    return holders
+
+
 def counting_probe(source_labels, target_label_of, hub_filter=None):
     """Return ``probe(t) -> (sd, spc)`` sharing one scan of the source labels.
 

@@ -6,7 +6,13 @@ paths v → h.  A query SPC(s, t) merges L_out(s) against L_in(t): a common
 hub h contributes paths s → h → t.
 """
 
-from repro.core.labels import ENTRY_BYTES, LabelSet, counting_probe
+from repro.core.labels import (
+    ENTRY_BYTES,
+    LabelSet,
+    counting_probe,
+    holders_of,
+    snapshot_labels,
+)
 from repro.exceptions import VertexNotFound
 from repro.order import VertexOrder
 
@@ -90,18 +96,24 @@ class DirectedSPCIndex:
 
     def in_holders(self, hub_rank):
         """Vertices with ``hub_rank`` in their L_in (read-only set)."""
-        return self._in_holders.get(hub_rank, _NO_HOLDERS)
+        return self.in_holders_map().get(hub_rank, _NO_HOLDERS)
 
     def out_holders(self, hub_rank):
         """Vertices with ``hub_rank`` in their L_out (read-only set)."""
-        return self._out_holders.get(hub_rank, _NO_HOLDERS)
+        return self.out_holders_map().get(hub_rank, _NO_HOLDERS)
 
     def in_holders_map(self):
-        """The internal L_in reverse map {hub_rank: set(vertex)} (read-only)."""
+        """The internal L_in reverse map {hub_rank: set(vertex)} (read-only;
+        a snapshot builds it on the first call)."""
+        if self._in_holders is None:
+            self._in_holders = holders_of(self._lin)
         return self._in_holders
 
     def out_holders_map(self):
-        """The internal L_out reverse map {hub_rank: set(vertex)} (read-only)."""
+        """The internal L_out reverse map {hub_rank: set(vertex)} (read-only;
+        a snapshot builds it on the first call)."""
+        if self._out_holders is None:
+            self._out_holders = holders_of(self._lout)
         return self._out_holders
 
     # ------------------------------------------------------------------
@@ -241,6 +253,23 @@ class DirectedSPCIndex:
             dup.bind(clone._out_holders, v)
             clone._lout[v] = dup
         return clone
+
+    def snapshot(self, base=None, dirty=()):
+        """Return a read-only copy-on-write snapshot (see SPCIndex.snapshot);
+        a dirty vertex gets fresh copies of both its label sets."""
+        snap = DirectedSPCIndex.__new__(DirectedSPCIndex)
+        if base is None:
+            snap._order = self._order.snapshot()
+            snap._lin = snapshot_labels(self._lin, None, dirty)
+            snap._lout = snapshot_labels(self._lout, None, dirty)
+        else:
+            snap._order = self._order.snapshot(base._order)
+            snap._lin = snapshot_labels(self._lin, base._lin, dirty)
+            snap._lout = snapshot_labels(self._lout, base._lout, dirty)
+        snap._in_holders = None
+        snap._out_holders = None
+        snap._dirty = None
+        return snap
 
     def __repr__(self):
         return f"DirectedSPCIndex(n={len(self._lin)}, entries={self.num_entries})"

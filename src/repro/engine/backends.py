@@ -71,14 +71,20 @@ class SPCBackend(abc.ABC):
     # Snapshot / serialization hooks (the repro.serve seam)
     # ------------------------------------------------------------------
 
-    def snapshot_index(self):
-        """Return an independent copy of the index, safe to read from other
-        threads while this backend keeps mutating its live index.
+    def snapshot_index(self, base=None, dirty=None):
+        """Return a read-only snapshot of the index, safe to read from
+        other threads while this backend keeps mutating its live index.
 
-        The default relies on the index's own ``copy`` (which rebinds the
-        reverse hub maps); backends whose index lacks one must override.
+        Copy-on-write: ``base`` is the previous snapshot of the *same* live
+        index object and ``dirty`` the vertices whose labels changed since
+        it was taken (the dirty sink of :meth:`install_label_sink`).  The
+        snapshot shares every clean vertex's labels with ``base`` and
+        copies only the dirty ones.  ``base=None`` takes a full copy, as
+        needed for the first snapshot and whenever the live index object
+        was replaced (rebuild, SD rebuild-on-delete, restore).  Snapshots
+        build their reverse hub map lazily and must never be mutated.
         """
-        return self.index.copy()
+        return self.index.snapshot(base, () if dirty is None else dirty)
 
     def index_to_dict(self):
         """JSON-serializable payload of the live index (checkpointing)."""
@@ -93,9 +99,10 @@ class SPCBackend(abc.ABC):
 
         ``sink`` is a set collecting every vertex whose labels mutate; the
         serving layer drains it per applied batch to journal label deltas
-        for hub-partitioned shards.  Must be re-installed after any index
-        replacement (rebuild, SD rebuild-on-delete) — the service detects
-        replacement by identity and emits a full-dump reset record.
+        for hub-partitioned shards and to publish copy-on-write snapshots.
+        Must be re-installed after any index replacement (rebuild, SD
+        rebuild-on-delete) — the service detects replacement by identity,
+        emits a full-dump journal reset record and publishes a full copy.
         """
         self.index.set_dirty_sink(sink)
 

@@ -114,6 +114,22 @@ class VertexOrder:
         """Return all rank slots including tombstones (for serialization)."""
         return list(self._order)
 
+    def snapshot(self, base=None):
+        """Return a frozen copy of this order for a read-only snapshot.
+
+        ``base`` is the order of an earlier snapshot of the same live
+        order; it is returned as is when no vertex was appended or removed
+        since.  Slots only append and live vertices only drop out, so
+        equal slot and live counts mean no change.
+        """
+        if (base is not None and len(base._order) == len(self._order)
+                and len(base._rank) == len(self._rank)):
+            return base
+        clone = VertexOrder.__new__(VertexOrder)
+        clone._order = list(self._order)
+        clone._rank = dict(self._rank)
+        return clone
+
     def rank_map(self):
         """Return the internal {vertex: rank} dict for hot loops.
 

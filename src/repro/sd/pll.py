@@ -18,6 +18,7 @@ d_L < D), which is what drops the non-canonical labels.
 from bisect import bisect_left
 from collections import deque
 
+from repro.core.labels import snapshot_labels
 from repro.exceptions import VertexNotFound
 from repro.order import VertexOrder, make_order
 
@@ -198,8 +199,26 @@ class SDIndex:
         }
         return clone
 
+    def snapshot(self, base=None, dirty=()):
+        """Return a read-only copy-on-write snapshot (see SPCIndex.snapshot):
+        clean vertices share ``base``'s (hubs, dists) pairs, dirty ones
+        get fresh list copies."""
+        snap = SDIndex.__new__(SDIndex)
+        snap._order = self._order.snapshot(None if base is None else base._order)
+        snap._labels = snapshot_labels(
+            self._labels, None if base is None else base._labels, dirty,
+            copy=_copy_arrays,
+        )
+        snap._dirty = None
+        return snap
+
     def __repr__(self):
         return f"SDIndex(n={len(self._labels)}, entries={self.num_entries})"
+
+
+def _copy_arrays(arrays):
+    hubs, dists = arrays
+    return list(hubs), list(dists)
 
 
 def build_sd_index(graph, order=None, strategy="degree"):

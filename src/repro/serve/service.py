@@ -6,11 +6,13 @@ engine exclusively: it drains submitted updates from a queue, applies each
 drained batch net-effect (reusing the engine's coalescing and the
 backend's batch hooks, so e.g. SD delete storms rebuild once per batch),
 appends the applied updates to the write-ahead log, and — under a publish
-policy — copies the index into a fresh immutable
-:class:`~repro.serve.snapshot.SnapshotView` and publishes it with a single
-attribute store.  Any number of reader threads answer queries against the
-current snapshot with no locks: the GIL makes the snapshot-pointer read
-atomic, and a published snapshot is never mutated.
+policy — publishes a fresh immutable
+:class:`~repro.serve.snapshot.SnapshotView` with a single attribute store.
+Publication is copy-on-write: the new snapshot shares every label set of
+the previous one except those of the vertices the index's dirty sink
+reported since, which it copies.  Any number of reader threads answer
+queries against the current snapshot with no locks: the GIL makes the
+snapshot-pointer read atomic, and a published snapshot is never mutated.
 
 Publish policy (:class:`ServeConfig`): a new snapshot is published once
 ``publish_every`` updates have been applied since the last one, or once
@@ -194,7 +196,7 @@ class _ServeObs:
                  "stage_pin", "stage_probe", "stage_tap",
                  "writer_batches", "writer_updates", "wal_bytes",
                  "stage_apply", "stage_wal", "stage_journal",
-                 "stage_publish", "publishes")
+                 "stage_publish", "publishes", "publish_copied")
 
     def __init__(self, registry, tracer):
         self.tracer = tracer
@@ -219,6 +221,8 @@ class _ServeObs:
         self.stage_publish = stage("repro_serve_writer_stage_seconds",
                                    stage="publish")
         self.publishes = registry.counter("repro_serve_publishes")
+        self.publish_copied = registry.histogram(
+            "repro_serve_publish_copied_vertices")
 
     def read(self, pairs, pin_s, probe_s, tap_s, total_s, trace):
         """File one read's stage timings (and its trace, if sampled)."""
@@ -253,13 +257,16 @@ class _ServeObs:
                 trace.add("journal", journal_s)
                 trace.finish(apply_s + wal_s + journal_s)
 
-    def publish(self, publish_s):
-        """File one snapshot publication (writer thread)."""
+    def publish(self, publish_s, copied):
+        """File one snapshot publication and how many vertices' labels it
+        copied (writer thread)."""
         self.publishes.inc()
         self.stage_publish.observe(publish_s)
+        self.publish_copied.observe(copied)
         tracer = self.tracer
         if tracer is not None:
-            trace = tracer.maybe_begin("writer_publish")
+            trace = tracer.maybe_begin("writer_publish",
+                                       meta={"copied": copied})
             if trace is not None:
                 trace.add("publish", publish_s)
                 trace.finish(publish_s)
@@ -335,8 +342,13 @@ class SPCService:
 
         self._wal = None
         self._journal = None
+        # One dirty-vertex sink, armed on the live index at all times: the
+        # journal reads it per batch, publish accumulates it per snapshot.
         self._label_sink = set()
-        self._journaled_index = None
+        self._sink_index = None
+        #: vertices dirtied since the last publish; None = full copy due.
+        self._unpublished = None
+        self._copied_last = 0
         if config.durability_dir is not None:
             os.makedirs(config.durability_dir, exist_ok=True)
             snap_path = self._durable_snapshot_path()
@@ -374,10 +386,8 @@ class SPCService:
                     # re-anchors every shard on the restored state.
                     if self._seq:
                         self._journal_reset()
-            if self._journal is not None:
-                self._engine.backend.install_label_sink(self._label_sink)
-                self._journaled_index = self._engine.backend.index
 
+        self._arm_label_sink()
         self._snapshot = self._make_snapshot()
         self._published += 1
         self._thread = threading.Thread(
@@ -689,6 +699,7 @@ class SPCService:
             "errors": len(self.errors),
             "wal_bytes": self._wal.size if self._wal is not None else 0,
             "wal_compactions": self._auto_compactions,
+            "publish_copied_last": self._copied_last,
             "closed": self._closed,
         }
 
@@ -865,26 +876,63 @@ class SPCService:
     def _publish(self):
         obs = self._obs
         t0 = time.perf_counter() if obs is not None else 0.0
-        backend = self._engine.backend
-        self._snapshot = self._make_snapshot(backend)
+        self._drain_label_sink()
+        self._snapshot = self._make_snapshot()
         self._published += 1
         self._dirty = 0
         self._dirty_since = None
         if obs is not None:
-            obs.publish(time.perf_counter() - t0)
+            obs.publish(time.perf_counter() - t0, self._copied_last)
         listener = self._publish_listener
         if listener is not None:
             listener()
 
-    def _make_snapshot(self, backend=None):
-        backend = backend if backend is not None else self._engine.backend
+    def _make_snapshot(self):
+        """Publish copy-on-write: share the previous snapshot's labels and
+        copy only the vertices dirtied since (a full copy when the live
+        index was replaced, or for the first snapshot)."""
+        backend = self._engine.backend
+        dirty = self._unpublished
+        base = None if dirty is None else self._snapshot.index
+        index = backend.snapshot_index(base, dirty)
+        order = index.order
+        self._copied_last = (
+            len(order) if dirty is None else sum(v in order for v in dirty)
+        )
+        self._unpublished = set()
         return SnapshotView(
-            backend.snapshot_index(),
+            index,
             backend.name,
             self._engine.epoch,
             self._seq,
             time.time(),
         )
+
+    def _arm_label_sink(self):
+        """(Re-)install the dirty-vertex sink on the current live index."""
+        backend = self._engine.backend
+        self._label_sink.clear()
+        backend.install_label_sink(self._label_sink)
+        self._sink_index = backend.index
+
+    def _drain_label_sink(self):
+        """Return the vertices dirtied since the last drain, also adding
+        them to the publish backlog — or ``None`` when the live index
+        object was replaced since (a rebuild may reshuffle every label):
+        the sink is then re-armed on the new index and the next publish
+        takes a full copy.  The journal drains per batch and publish
+        drains again, so publishes that coalesce several batches still
+        see every vertex those batches dirtied.
+        """
+        if self._engine.backend.index is not self._sink_index:
+            self._arm_label_sink()
+            self._unpublished = None
+            return None
+        dirty = set(self._label_sink)
+        self._label_sink.clear()
+        if self._unpublished is not None:
+            self._unpublished |= dirty
+        return dirty
 
     def _do_checkpoint(self, token):
         try:
@@ -963,37 +1011,32 @@ class SPCService:
 
         Rebuilds (engine rebuild policy, SD rebuild-on-delete) replace the
         index object — and may reshuffle hub ranks — so identity change
-        forces a full-dump reset record and re-arms the sink on the new
-        index.  Otherwise one ``lb`` op per dirty vertex carries its
+        (see :meth:`_drain_label_sink`) forces a full-dump reset record.
+        Otherwise one ``lb`` op per dirty vertex carries its
         post-batch label state (``None`` = vertex dropped); replacement
         semantics make records idempotent and order-independent within a
         batch.  A batch whose updates moved no labels still journals a
         ``nop`` op: seq contiguity is what tailing shards key on, and an
         *empty* ops list is reserved for the compaction marker.
         """
-        backend = self._engine.backend
-        if backend.index is not self._journaled_index:
-            self._label_sink.clear()
+        dirty = self._drain_label_sink()
+        if dirty is None:
             self._journal_reset()
             return
-        sink = self._label_sink
-        ops = [["lb", v, backend.label_payload(v)] for v in sink]
-        sink.clear()
+        backend = self._engine.backend
+        ops = [["lb", v, backend.label_payload(v)] for v in dirty]
         if not ops:
             ops = [["nop"]]
         self._journal.append(self._seq, ops)
 
     def _journal_reset(self):
-        """Append a full-dump reset record at the current seq and re-arm
-        dirty tracking on the (possibly replaced) live index."""
+        """Append a full-dump reset record at the current seq."""
         backend = self._engine.backend
         dump = [
             [v, lp]
             for v, lp in backend.iter_label_payloads(backend.index_to_dict())
         ]
         self._journal.append(self._seq, [["reset", dump]])
-        backend.install_label_sink(self._label_sink)
-        self._journaled_index = backend.index
 
     def _truncate_wal_with_marker(self):
         """Truncate the WAL, then stamp its head with the truncation point.

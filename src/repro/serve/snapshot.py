@@ -2,11 +2,21 @@
 
 A :class:`SnapshotView` is what concurrent readers hold: one published
 state of the index, pinned forever.  The writer thread never mutates a
-published snapshot (publication copies the index via the backend's
-``snapshot_index`` hook), so readers answer ``query`` / ``query_many``
-with no locks at all — the only synchronization in the whole read path is
-the single atomic attribute read that fetches the current snapshot from
-the service.
+published snapshot, so readers answer ``query`` / ``query_many`` with no
+locks at all — the only synchronization in the whole read path is the
+single atomic attribute read that fetches the current snapshot from the
+service.
+
+Publication is copy-on-write (the backend's ``snapshot_index`` hook): a
+new snapshot index shares every clean vertex's label set with the
+previous snapshot by reference and copies only the vertices the batch(es)
+since dirtied, so its cost follows the dirty set, not the index size.  A
+full copy is taken for the first snapshot and whenever the live index
+object was replaced (rebuild, SD rebuild-on-delete).  Shared label sets
+are safe because no snapshot label set is ever mutated — older pinned
+snapshots keep answering exactly as before.  A snapshot index builds its
+reverse hub map lazily, on the first ``holders`` lookup, so
+:mod:`repro.verify` still works on one.
 
 Snapshots carry three coordinates:
 
@@ -71,7 +81,8 @@ class SnapshotView:
 
     @property
     def index(self):
-        """The pinned index copy (read-only by contract)."""
+        """The pinned snapshot index (read-only by contract: its label sets
+        are shared with other snapshots)."""
         return self._index
 
     # ------------------------------------------------------------------

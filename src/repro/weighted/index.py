@@ -8,7 +8,13 @@ float or int distances — so this class mirrors
 including the incrementally-maintained reverse hub map (DESIGN.md §9).
 """
 
-from repro.core.labels import ENTRY_BYTES, LabelSet, counting_probe
+from repro.core.labels import (
+    ENTRY_BYTES,
+    LabelSet,
+    counting_probe,
+    holders_of,
+    snapshot_labels,
+)
 from repro.exceptions import VertexNotFound
 from repro.order import VertexOrder
 
@@ -67,10 +73,13 @@ class WeightedSPCIndex:
 
     def holders(self, hub_rank):
         """Vertices whose label set contains ``hub_rank`` (read-only set)."""
-        return self._holders.get(hub_rank, _NO_HOLDERS)
+        return self.holders_map().get(hub_rank, _NO_HOLDERS)
 
     def holders_map(self):
-        """The internal {hub_rank: set(vertex_id)} reverse map (read-only)."""
+        """The internal {hub_rank: set(vertex_id)} reverse map (read-only;
+        a snapshot builds it on the first call)."""
+        if self._holders is None:
+            self._holders = holders_of(self._labels)
         return self._holders
 
     def query(self, s, t):
@@ -170,6 +179,17 @@ class WeightedSPCIndex:
             dup.bind(clone._holders, v)
             clone._labels[v] = dup
         return clone
+
+    def snapshot(self, base=None, dirty=()):
+        """Return a read-only copy-on-write snapshot (see SPCIndex.snapshot)."""
+        snap = WeightedSPCIndex.__new__(WeightedSPCIndex)
+        snap._order = self._order.snapshot(None if base is None else base._order)
+        snap._labels = snapshot_labels(
+            self._labels, None if base is None else base._labels, dirty
+        )
+        snap._holders = None
+        snap._dirty = None
+        return snap
 
     def __repr__(self):
         return f"WeightedSPCIndex(n={len(self._labels)}, entries={self.num_entries})"

@@ -128,6 +128,48 @@ class TestTamperBackend:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_incremental_publishes_stay_poisoned_until_restored(
+        self, tmp_path, mode
+    ):
+        engine, service = self.make_service(tmp_path)
+        try:
+            vs = sorted(engine.graph.vertices())
+            s, t = self.connected_pair(service, vs)
+            honest = service.query(s, t)
+            restore = tamper_backend(engine.backend, mode)
+            previous = None
+            for v in range(900, 904):
+                service.submit(InsertVertex(v))
+                service.flush()
+                snap = service.snapshot()
+                assert isinstance(snap.index, CorruptingIndex)
+                assert service.query(s, t) == corrupt_answer(honest, mode)
+                assert service.query_many([(s, t)]) == [
+                    corrupt_answer(honest, mode)
+                ]
+                if previous is not None:
+                    # Copy-on-write under the proxy: the hook unwrapped
+                    # the previous proxy and shared its clean labels.
+                    assert snap.index._inner.label_set(s) is (
+                        previous.index._inner.label_set(s)
+                    )
+                    assert service.stats()["publish_copied_last"] == 1
+                previous = snap
+            restore()
+            for v in range(904, 907):
+                service.submit(InsertVertex(v))
+                service.flush()
+                snap = service.snapshot()
+                assert not isinstance(snap.index, CorruptingIndex)
+                assert service.query(s, t) == honest
+                assert service.query_many([(s, t)]) == [honest]
+            assert engine.backend.snapshot_index().to_dict() == (
+                service.snapshot().index.to_dict()
+            )
+        finally:
+            service.close()
+
     def test_checkpoint_path_stays_honest(self, tmp_path):
         # The shadow baseline bootstraps from the checkpoint; a corrupted
         # checkpoint would compare one lie to another.

@@ -36,6 +36,27 @@ class TestSnapshotIndex:
             engine.insert_edge(upd.u, upd.v, upd.weight)
         assert [copy.query(s, t) for s, t in pairs] == before
 
+    def test_incremental_snapshot_equals_a_full_one(self, backend, make):
+        from repro.workloads import random_insertions
+
+        engine = SPCEngine(make(), config=EngineConfig(backend=backend))
+        sink = set()
+        engine.backend.install_label_sink(sink)
+        base = engine.backend.snapshot_index()
+        before = base.to_dict()
+        for upd in random_insertions(engine.graph, 3, seed=7):
+            engine.insert_edge(upd.u, upd.v, upd.weight)
+        engine.insert_vertex(999)
+        assert sink
+        snap = engine.backend.snapshot_index(base, sink)
+        assert snap.to_dict() == engine.backend.snapshot_index().to_dict()
+        assert 999 in snap.order and 999 not in base.order
+        assert base.to_dict() == before
+        # Nothing dirty since: everything is shared, the order included.
+        again = engine.backend.snapshot_index(snap, ())
+        assert again.order is snap.order
+        assert again.to_dict() == snap.to_dict()
+
 
 @pytest.mark.parametrize("backend,make", BACKEND_GRAPHS)
 class TestIndexSerializationHooks:
